@@ -75,7 +75,6 @@ class InstructionSpec:
     arity: int
     table_row: str
     signedness: str = ""
-    needs_predicate: bool = False
 
     def __post_init__(self):
         if self.operand_type not in _CATEGORY_TYPES[self.category]:

@@ -15,23 +15,22 @@ time-aligned (all channels acquired by one oscilloscope). The shunt value
 and capture rate are properties of the rig and must come with the data;
 there are no defaults.
 
-CSV format: a ``# r_s_ohm: <value>`` comment line, then the header
-``t_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps``, then one row per sample with
-``%.9g`` values.
+CSV format: a ``# r_s_ohm: <value>`` comment line, the header
+``t_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps``, then one row per sample. Captures
+and power traces share one CSV codec: values are written with ``%.9g``, and a
+malformed file raises MalformedCapture naming the offending line.
 """
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _csv
 from .energy import integrate_energy
 from .errors import MalformedCapture, MissingShunt
-from .trace import KernelWindow, PowerTrace, _read_text
+from .trace import KernelWindow, PowerTrace
 
 _HEADER = "t_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps"
 _CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
@@ -127,66 +126,24 @@ def hw_energy(capture: HwCapture, window: KernelWindow) -> float:
 
 
 def save_hw_capture(capture: HwCapture, sink) -> None:
-    lines = [f"# r_s_ohm: {capture.r_s:.9g}", _HEADER]
-    cols = [capture.times] + [capture.channels[name] for name in _CHANNELS]
-    for row in zip(*cols):
-        lines.append(",".join("%.9g" % v for v in row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    elif hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase):
-        sink.write(text)
-    else:
-        sink.write(text.encode("utf-8"))
+    head = [f"# r_s_ohm: {capture.r_s:.9g}", _HEADER]
+    _csv.write(sink, head, [capture.times] + [capture.channels[name] for name in _CHANNELS])
 
 
 def load_hw_capture(source) -> HwCapture:
     """Parse a capture CSV. MissingShunt if the r_s comment is absent;
     MalformedCapture (with line number) for format or invariant violations."""
-    text = _read_text(source, MalformedCapture)
-    lines = text.splitlines()
+    reader = _csv.Reader(source, MalformedCapture)
     r_s = None
-    idx = 0
-    while idx < len(lines) and lines[idx].startswith("#"):
-        body = lines[idx].lstrip("#").strip()
+    for line_no, line in enumerate(reader.comments(), 1):
+        body = line.lstrip("#").strip()
         if body.startswith("r_s_ohm:"):
             payload = body[len("r_s_ohm:"):].strip()
             try:
                 r_s = float(payload)
             except ValueError:
-                raise MalformedCapture(f"unparsable shunt value '{payload}'", idx + 1) from None
-        idx += 1
+                raise MalformedCapture(f"unparsable shunt value '{payload}'", line_no) from None
     if r_s is None:
         raise MissingShunt("capture has no '# r_s_ohm: <value>' comment")
-    if idx >= len(lines) or lines[idx].strip() != _HEADER:
-        got = lines[idx].strip() if idx < len(lines) else "<end of file>"
-        raise MalformedCapture(f"expected header '{_HEADER}', got '{got}'", idx + 1)
-    idx += 1
-
-    rows: list[list[float]] = []
-    for line_no in range(idx, len(lines)):
-        line = lines[line_no].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise MalformedCapture(f"expected 7 fields, got {len(parts)}", line_no + 1)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise MalformedCapture(f"unparsable number in '{line}'", line_no + 1) from None
-        if not all(math.isfinite(v) for v in values):
-            raise MalformedCapture(f"non-finite value in '{line}'", line_no + 1)
-        if rows and values[0] <= rows[-1][0]:
-            raise MalformedCapture(
-                f"timestamp {values[0]:.9g} not after previous {rows[-1][0]:.9g}",
-                line_no + 1,
-            )
-        rows.append(values)
-
-    if rows:
-        cols = list(zip(*rows))
-    else:
-        cols = [()] * 7
-    channels = {name: cols[i + 1] for i, name in enumerate(_CHANNELS)}
-    return HwCapture(cols[0], channels, r_s)
+    times, *cols = reader.rows(_HEADER, 7, "expected 7 fields, got {fields}")
+    return HwCapture(times, dict(zip(_CHANNELS, cols)), r_s)

@@ -130,8 +130,6 @@ class Workload:
     """
 
     label: str = "kernel"
-    grid_dim: int = 1
-    block_dim: int = 1
 
     @property
     def duration(self) -> float | None:
@@ -150,8 +148,6 @@ class TimedWorkload(Workload):
 
     seconds: float
     label: str = "kernel"
-    grid_dim: int = 1
-    block_dim: int = 1
 
     def __post_init__(self):
         if not self.seconds > 0:
@@ -171,8 +167,6 @@ class CallableWorkload(Workload):
 
     fn: Callable[[], None] = field(repr=False)
     label: str = "kernel"
-    grid_dim: int = 1
-    block_dim: int = 1
 
     def run(self, clock) -> None:
         self.fn()
@@ -189,8 +183,6 @@ class KernelLaunchWorkload(Workload):
 
     provider: PowerProvider | None = None
     label: str = "kernel"
-    grid_dim: int = 1
-    block_dim: int = 1
 
     @property
     def duration(self) -> float:
@@ -465,11 +457,13 @@ def _mtsm_threaded(provider, workload, clock, label, startup_timeout=5.0) -> Ene
         raise SamplerStartupFailure("sampler produced no reading before startup timeout")
 
     t_start = clock.now
-    workload.run(clock)
-    t_end = clock.now
+    try:
+        workload.run(clock)
+        t_end = clock.now
+    finally:
+        flag.clear()
+        th.join()
     elapsed = t_end - t_start
-    flag.clear()
-    th.join()
     flag_clear = clock.now
     if errors:
         raise errors[0]

@@ -85,10 +85,6 @@ class SyntheticDeviceProvider(PowerProvider):
             raise RuntimeError("provider already launched; use a fresh instance per run")
         self._t_launch = float(t)
 
-    @property
-    def launched_at(self) -> float | None:
-        return self._t_launch
-
     def next_sample(self, clock) -> PowerSample:
         t = clock.now
         if self._t_launch is None:

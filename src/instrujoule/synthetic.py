@@ -66,10 +66,6 @@ class SyntheticModel:
         if self.p_idle < 0 or self.p_kernel < 0 or self.ramp_mw < 0:
             raise InvalidModel("power levels must be >= 0")
 
-    @property
-    def peak_power(self) -> float:
-        return self.p_idle + self.p_kernel + self.ramp_mw
-
     def window_for_launch(self, t_launch: float) -> KernelWindow:
         start = t_launch + self.pre_rise_lead
         return KernelWindow(start, start + self.kernel_duration)

@@ -5,22 +5,20 @@ readings in milliwatts, with timestamps in seconds relative to the start of
 recording. A trace may carry one annotated kernel window marking where the
 measured kernel executed.
 
-CSV format (bit-exact):
-  line 1 (optional)  ``# window: <start_s>,<end_s>``
-  header             ``t_s,power_mw``
-  one sample per line, both fields formatted with ``%.9g``
+CSV format: an optional ``# window: <start_s>,<end_s>`` line, the header
+``t_s,power_mw``, then one sample per line. Traces and hardware captures share
+one CSV codec: values are written with ``%.9g``, and a malformed file raises
+MalformedTrace naming the offending line.
 """
 
 from __future__ import annotations
 
-import io
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _csv
 from .errors import MalformedTrace
 
 _HEADER = "t_s,power_mw"
@@ -106,42 +104,21 @@ class PowerTrace:
         w = f", window=[{self.window.start}, {self.window.end}]" if self.window else ""
         return f"PowerTrace({len(self)} samples{w})"
 
-    @property
-    def samples(self) -> list[PowerSample]:
-        return [PowerSample(float(t), float(p)) for t, p in zip(self.times, self.powers)]
-
     @classmethod
     def from_samples(cls, samples: Iterable[PowerSample], window: KernelWindow | None = None):
-        pairs = [(s.t, s.power) for s in samples]
-        if pairs:
-            t, p = zip(*pairs)
-        else:
-            t, p = (), ()
-        return cls(t, p, window)
+        samples = list(samples)
+        return cls([s.t for s in samples], [s.power for s in samples], window)
 
     def with_window(self, window: KernelWindow | None) -> "PowerTrace":
         return PowerTrace(self.times, self.powers, window)
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
-
-
 def save_trace(trace: PowerTrace, sink) -> None:
     """Write a trace as CSV to ``sink`` (path, text stream, or binary stream)."""
-    lines = []
+    head = []
     if trace.window is not None:
-        lines.append(f"# window: {_fmt(trace.window.start)},{_fmt(trace.window.end)}")
-    lines.append(_HEADER)
-    for t, p in zip(trace.times, trace.powers):
-        lines.append(f"{_fmt(t)},{_fmt(p)}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    elif hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase):
-        sink.write(text)
-    else:
-        sink.write(text.encode("utf-8"))
+        head.append("# window: %.9g,%.9g" % (trace.window.start, trace.window.end))
+    _csv.write(sink, head + [_HEADER], [trace.times, trace.powers])
 
 
 def load_trace(source) -> PowerTrace:
@@ -150,41 +127,12 @@ def load_trace(source) -> PowerTrace:
     Raises MalformedTrace (with the offending line number) on a bad header,
     unparsable numbers, non-monotonic timestamps, or negative power.
     """
-    text = _read_text(source, MalformedTrace)
-    lines = text.splitlines()
-    window = None
-    idx = 0
-    if idx < len(lines) and lines[idx].startswith("#"):
-        window = _parse_window_comment(lines[idx], idx + 1)
-        idx += 1
-    if idx >= len(lines) or lines[idx].strip() != _HEADER:
-        got = lines[idx].strip() if idx < len(lines) else "<end of file>"
-        raise MalformedTrace(f"expected header '{_HEADER}', got '{got}'", idx + 1)
-    idx += 1
-
-    times: list[float] = []
-    powers: list[float] = []
-    for line_no in range(idx, len(lines)):
-        line = lines[line_no].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MalformedTrace(f"expected 't,power', got '{line}'", line_no + 1)
-        try:
-            t, p = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise MalformedTrace(f"unparsable number in '{line}'", line_no + 1) from None
-        if not (math.isfinite(t) and math.isfinite(p)):
-            raise MalformedTrace(f"non-finite value in '{line}'", line_no + 1)
-        if times and t <= times[-1]:
-            raise MalformedTrace(
-                f"timestamp {t:.9g} not after previous {times[-1]:.9g}", line_no + 1
-            )
-        if p < 0:
-            raise MalformedTrace(f"negative power {p:.9g}", line_no + 1)
-        times.append(t)
-        powers.append(p)
+    reader = _csv.Reader(source, MalformedTrace)
+    comments = reader.comments(limit=1)
+    window = _parse_window_comment(comments[0], 1) if comments else None
+    times, powers = reader.rows(
+        _HEADER, 2, "expected 't,power', got '{line}'", nonnegative=(1, "negative power")
+    )
     return PowerTrace(times, powers, window)
 
 
@@ -204,17 +152,3 @@ def _parse_window_comment(line: str, line_no: int) -> KernelWindow:
         return KernelWindow(start, end)
     except ValueError as exc:
         raise MalformedTrace(str(exc), line_no) from None
-
-
-def _read_text(source, error_cls) -> str:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise error_cls(f"no such file: {path}")
-        return path.read_text(encoding="utf-8")
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data

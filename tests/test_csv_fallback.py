@@ -1,0 +1,148 @@
+"""Malformed and unusual CSV input for both formats.
+
+The reader parses the body in one numpy pass and falls back to a
+line-by-line scan when that pass rejects the text or a check fails. These
+cases pin what the scan reports: the error class, the message and the line
+number. They also pin input that the numpy pass rejects but the scan
+accepts, with the arrays it loads.
+"""
+
+import numpy as np
+import pytest
+
+from instrujoule import (
+    MalformedCapture,
+    MalformedTrace,
+    MissingShunt,
+    load_hw_capture,
+    load_trace,
+)
+
+H = "t_s,power_mw\n"
+C = "# r_s_ohm: 0.1\nt_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps\n"
+R = "0,12.1,12,3.4,3.3,10,12\n"
+LONG = H + "".join(f"{i * 0.001:.9g},{100 + i}\n" for i in range(300))
+
+TRACE_ERRORS = {
+    "bad header": (
+        "t,p\n0,1\n", "line 1: expected header 't_s,power_mw', got 't,p'", 1),
+    "bad header after window": (
+        "# window: 0,1\ntime,power\n0,1\n",
+        "line 2: expected header 't_s,power_mw', got 'time,power'", 2),
+    "two comments": (
+        "# window: 0,1\n# window: 0,1\n" + H + "0,1\n1,1\n",
+        "line 2: expected header 't_s,power_mw', got '# window: 0,1'", 2),
+    "unrecognized comment": ("# hello\n" + H, "line 1: unrecognized comment '# hello'", 1),
+    "empty file": ("", "line 1: expected header 't_s,power_mw', got '<end of file>'", 1),
+    "wrong field count": (H + "0,1\n1,2,3\n", "line 3: expected 't,power', got '1,2,3'", 3),
+    "abc": (H + "0,1\nabc,2\n", "line 3: unparsable number in 'abc,2'", 3),
+    "nan": (H + "0,1\n1,nan\n", "line 3: non-finite value in '1,nan'", 3),
+    "inf": (H + "0,1\ninf,2\n", "line 3: non-finite value in 'inf,2'", 3),
+    "non-increasing": (
+        H + "0,1\n0.5,1\n0.5,2\n", "line 4: timestamp 0.5 not after previous 0.5", 4),
+    "negative power": (H + "0,1\n1,-2\n", "line 3: negative power -2", 3),
+    "hash in row": (H + "0,1\n1,2 # note\n", "line 3: unparsable number in '1,2 # note'", 3),
+    "hash line between rows": (
+        H + "0,1\n# note\n1,2\n", "line 3: expected 't,power', got '# note'", 3),
+    "line number past blanks": (
+        "# window: 0,1\n" + H + "0,1\n\n1,2\n2,x\n", "line 6: unparsable number in '2,x'", 6),
+    "late fault in a long trace": (
+        LONG + "0.2985,7\n", "line 302: timestamp 0.2985 not after previous 0.299", 302),
+    # np.loadtxt strips \x1f around a number; float() does not
+    "unit separator in a field": (
+        H + "0,1\n1,\x1f2\n", "line 3: unparsable number in '1,\x1f2'", 3),
+    "window on header only": ("# window: 0,1\n" + H, "window annotation on an empty trace", None),
+}
+
+TRACE_LOADS = {
+    "underscore digits": (H + "0,1_000\n1,2\n", [0.0, 1.0], [1000.0, 2.0], None),
+    "whitespace-only line": (H + "0,1\n   \n1,2\n", [0.0, 1.0], [1.0, 2.0], None),
+    "trailing blank lines": (H + "0,1\n1,2\n\n \n\t\n", [0.0, 1.0], [1.0, 2.0], None),
+    "header only": (H, [], [], None),
+    "crlf line ends": (
+        "# window: 0,1\r\nt_s,power_mw\r\n0,1\r\n1,2\r\n", [0.0, 1.0], [1.0, 2.0], (0.0, 1.0)),
+    "no-break space": (H + "0,\xa01\n1,2\n", [0.0, 1.0], [1.0, 2.0], None),
+}
+
+CAPTURE_ERRORS = {
+    "bad header": (
+        "# r_s_ohm: 0.1\nt_s,v_s1\n" + R, MalformedCapture,
+        "line 2: expected header 't_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps', got 't_s,v_s1'", 2),
+    "missing shunt": (
+        C.split("\n", 1)[1] + R, MissingShunt,
+        "capture has no '# r_s_ohm: <value>' comment", None),
+    "unparsable shunt": (
+        "# r_s_ohm: x\n" + C.split("\n", 1)[1] + R, MalformedCapture,
+        "line 1: unparsable shunt value 'x'", 1),
+    "wrong field count": (
+        C + R + "0.001,1,2\n", MalformedCapture, "line 4: expected 7 fields, got 3", 4),
+    "abc": (
+        C + R + "0.001,12.1,abc,3.4,3.3,10,12\n", MalformedCapture,
+        "line 4: unparsable number in '0.001,12.1,abc,3.4,3.3,10,12'", 4),
+    "nan": (
+        C + R + "0.001,12.1,12,nan,3.3,10,12\n", MalformedCapture,
+        "line 4: non-finite value in '0.001,12.1,12,nan,3.3,10,12'", 4),
+    "inf": (
+        C + R + "0.001,12.1,12,3.4,3.3,10,-inf\n", MalformedCapture,
+        "line 4: non-finite value in '0.001,12.1,12,3.4,3.3,10,-inf'", 4),
+    "non-increasing": (
+        C + R + R, MalformedCapture, "line 4: timestamp 0 not after previous 0", 4),
+    "hash in row": (
+        C + R + "0.001,12.1,12,3.4,3.3,10,12#\n", MalformedCapture,
+        "line 4: unparsable number in '0.001,12.1,12,3.4,3.3,10,12#'", 4),
+    "hash line between rows": (
+        "# note\n" + C + R + "# more\n0.001,12.1,12,3.4,3.3,10,12\n", MalformedCapture,
+        "line 5: expected 7 fields, got 1", 5),
+}
+
+ROW = [12.1, 12.0, 3.4, 3.3, 10.0, 12.0]
+
+CAPTURE_LOADS = {
+    "underscore digits": (
+        C + "0,1_2.5,12,3.4,3.3,10,12\n", [0.0], [[12.5, 12.0, 3.4, 3.3, 10.0, 12.0]], 0.1),
+    "whitespace-only line": (
+        C + R + " \t \n0.001,12.1,12,3.4,3.3,10,12\n", [0.0, 0.001], [ROW, ROW], 0.1),
+    "trailing blank lines": (C + R + "\n\n  \n", [0.0], [ROW], 0.1),
+    "header only": (C, [], [], 0.1),
+    "negative channel value": (
+        C + "0,-12.1,12,3.4,3.3,-10,12\n", [0.0], [[-12.1, 12.0, 3.4, 3.3, -10.0, 12.0]], 0.1),
+    "later shunt comment wins": ("# r_s_ohm: 0.2\n# scope: x\n" + C + R, [0.0], [ROW], 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_ERRORS))
+def test_trace_error(name):
+    text, message, line = TRACE_ERRORS[name]
+    with pytest.raises(MalformedTrace) as exc:
+        load_trace(text.encode())
+    assert type(exc.value) is MalformedTrace
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_LOADS))
+def test_trace_loads(name):
+    text, times, powers, window = TRACE_LOADS[name]
+    trace = load_trace(text.encode())
+    assert trace.times.tolist() == times
+    assert trace.powers.tolist() == powers
+    assert (None if trace.window is None else (trace.window.start, trace.window.end)) == window
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE_ERRORS))
+def test_capture_error(name):
+    text, cls, message, line = CAPTURE_ERRORS[name]
+    with pytest.raises(cls) as exc:
+        load_hw_capture(text.encode())
+    assert type(exc.value) is cls
+    assert (str(exc.value), getattr(exc.value, "line", None)) == (message, line)
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURE_LOADS))
+def test_capture_loads(name):
+    text, times, rows, r_s = CAPTURE_LOADS[name]
+    capture = load_hw_capture(text.encode())
+    assert capture.times.tolist() == times
+    assert capture.r_s == r_s
+    expected = np.array(rows, dtype=np.float64).reshape(len(times), 6)
+    got = np.column_stack([capture.channels[k] for k in capture.channels]).reshape(len(times), 6)
+    assert got.tolist() == expected.tolist()

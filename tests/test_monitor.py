@@ -1,5 +1,6 @@
 """Measurement strategies under the virtual clock, plus threaded smoke tests."""
 
+import threading
 import time
 
 import numpy as np
@@ -272,3 +273,14 @@ class TestThreadedMode:
 
         with pytest.raises(SamplerStartupFailure):
             run_mtsm(Broken(), CallableWorkload(lambda: time.sleep(0.01)), clock=RealClock())
+
+    def test_raising_workload_stops_the_sampler(self):
+        def boom():
+            time.sleep(0.01)
+            raise RuntimeError("kernel fault")
+
+        provider = ConstantPowerProvider(100.0)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            run_mtsm(provider, CallableWorkload(boom), clock=RealClock())
+        alive = [th for th in threading.enumerate() if th.name == "mtsm-sampler"]
+        assert alive == []
