@@ -12,7 +12,6 @@ import io
 from instrujoule import (
     ReplayProvider,
     SyntheticModel,
-    VirtualClock,
     emit_plot_data,
     integrate_energy,
     load_trace,
@@ -46,8 +45,8 @@ print(f"csv round trip: {len(reloaded)} samples, window preserved: {reloaded.win
 # replay the recording as a provider: readings hold until the next sample
 provider = ReplayProvider(reloaded)
 for t in (0.5, truth.window.start + 0.2, truth.window.end + 0.3):
-    sample = provider.next_sample(VirtualClock(start=t))
-    print(f"replayed power at t={t:>6.3f} s: {sample.power / 1000:7.2f} W")
+    power = provider.next_sample(t)
+    print(f"replayed power at t={t:>6.3f} s: {power / 1000:7.2f} W")
 
 plot = emit_plot_data(trace)
 head = "\n".join(plot.splitlines()[:5])

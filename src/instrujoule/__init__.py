@@ -2,10 +2,10 @@
 
 Generates single-instruction PTX microbenchmarks, runs three power
 measurement strategies against pluggable power providers (recorded traces,
-synthetic models with known ground truth, or a live-sensor contract),
-extracts per-instruction energies from paired total/overhead runs, computes
-ground-truth power from oscilloscope captures of a shunt/clamp sensing rig,
-and statistically compares measurement methods.
+synthetic models with known ground truth, or any sensor adapter that maps a
+time to a power), extracts per-instruction energies from paired
+total/overhead runs, computes ground-truth power from oscilloscope captures
+of a shunt/clamp sensing rig, and statistically compares measurement methods.
 """
 
 from .analysis import (
@@ -88,7 +88,6 @@ from .monitor import (
 )
 from .providers import (
     ConstantPowerProvider,
-    LiveSensorProvider,
     PowerProvider,
     ReplayProvider,
     SyntheticDeviceProvider,
@@ -104,6 +103,6 @@ from .report import (
     render_table,
 )
 from .synthetic import SyntheticModel, SyntheticTruth, noise_free_power, synthesize
-from .trace import KernelWindow, PowerSample, PowerTrace, load_trace, save_trace
+from .trace import KernelWindow, PowerTrace, load_trace, save_trace
 
 __version__ = "0.1.0"

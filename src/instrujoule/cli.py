@@ -29,7 +29,7 @@ from .codegen import (
     generate_kernel,
     ptx_mnemonic,
 )
-from .errors import InstrujouleError, LengthMismatch, MalformedTrace
+from .errors import InstrujouleError, LengthMismatch, MalformedTrace, SensorUnavailable
 from .hardware import hw_energy, hw_power_trace, load_hw_capture
 from .monitor import (
     DEFAULT_READ_COST,
@@ -44,7 +44,7 @@ from .monitor import (
     run_papi_style,
     run_sma,
 )
-from .providers import LiveSensorProvider, ReplayProvider, SyntheticDeviceProvider
+from .providers import ReplayProvider, SyntheticDeviceProvider
 from .report import load_reference_table, render_table, emit_plot_data
 from .synthetic import SyntheticModel
 from .trace import KernelWindow, PowerTrace, load_trace, save_trace
@@ -127,8 +127,9 @@ def _parse_provider(arg: str):
         model = SyntheticModel.from_dict(data)
         return SyntheticDeviceProvider(model), model, 0.0
     if kind == "live":
-        LiveSensorProvider()  # always raises SensorUnavailable for now
-        raise AssertionError("unreachable")
+        raise SensorUnavailable(
+            "no live sensor adapter is bundled; use replay or synthetic providers"
+        )
     raise _Usage(f"unknown provider {arg!r}; use replay:<file>, synth:<model.json>, or live")
 
 

@@ -15,7 +15,6 @@ between a total and an overhead run by the instruction count:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -28,17 +27,7 @@ if TYPE_CHECKING:  # avoid a circular import; monitor builds these results
     from .catalog import InstructionSpec
     from .monitor import EnergyResult
 
-# Above this many samples, plain summation accumulates enough rounding error
-# to matter; switch to exact compensated summation.
-_FSUM_THRESHOLD = 1_000_000
-
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
-
-
-def _total(powers: np.ndarray) -> float:
-    if powers.size > _FSUM_THRESHOLD:
-        return math.fsum(powers.tolist())
-    return float(np.sum(powers))
 
 
 def energy_from_readings(powers, elapsed: float) -> float:
@@ -46,7 +35,7 @@ def energy_from_readings(powers, elapsed: float) -> float:
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0:
         raise EmptyWindow("no power readings")
-    return elapsed / powers.size * _total(powers)
+    return elapsed / powers.size * float(np.sum(powers))
 
 
 def _window_slice(trace: PowerTrace, window: KernelWindow):

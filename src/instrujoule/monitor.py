@@ -19,12 +19,15 @@ Three ways to turn a power provider plus a workload into data:
                      readings from the kernel window contribute.
 
 Both a real threaded mode (RealClock) and a deterministic single-threaded
-simulation (VirtualClock) are provided. Under the virtual clock, time
-advances only at provider reads (a configurable per-read cost, default
-0.5 ms, i.e. a ~2 kHz effective sampling rate) and at workload boundaries,
-which makes every run bit-reproducible. The flag-clear instant is defined
-as the sampler's first read at or after workload completion, so the flag
-interval coincides exactly with the recorded sample span.
+simulation (VirtualClock) are provided. Runners own the clock: each read
+passes the time of the read to ``provider.next_sample(t)`` and records the
+(time, power) pair. Under the virtual clock, time advances only at provider
+reads (a configurable per-read cost, default 0.5 ms, i.e. a ~2 kHz
+effective sampling rate) and at workload boundaries, which makes every run
+bit-reproducible; a virtual runner builds its whole time grid first and then
+reads it in one pass. The flag-clear instant is defined as the sampler's
+first read at or after workload completion, so the flag interval coincides
+exactly with the recorded sample span.
 
 Strategy runners are not reentrant per provider instance; create one
 provider (and one clock) per measurement.
@@ -41,7 +44,7 @@ from typing import Callable
 from .energy import InstructionEnergy, energy_from_readings, instruction_energy
 from .errors import SamplerStartupFailure
 from .providers import PowerProvider
-from .trace import KernelWindow, PowerSample, PowerTrace
+from .trace import KernelWindow, PowerTrace
 
 DEFAULT_READ_COST = 0.0005  # seconds per simulated sensor read (~2 kHz)
 DEFAULT_SMA_INTERVAL = 0.015  # seconds between fixed-interval reads
@@ -101,24 +104,17 @@ class RealClock:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling mode: fixed interval between reads, or as fast as possible."""
+    """Fixed-interval sampling: ``interval`` seconds between reads."""
 
-    mode: str = "fixed_interval"  # "fixed_interval" | "max_rate"
     interval: float = DEFAULT_SMA_INTERVAL
 
     def __post_init__(self):
-        if self.mode not in ("fixed_interval", "max_rate"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
-        if self.mode == "fixed_interval" and not self.interval > 0:
+        if not self.interval > 0:
             raise ValueError("fixed-interval sampling needs interval > 0")
 
     @classmethod
     def fixed_interval(cls, interval: float = DEFAULT_SMA_INTERVAL) -> "SamplerConfig":
-        return cls("fixed_interval", interval)
-
-    @classmethod
-    def max_rate(cls) -> "SamplerConfig":
-        return cls("max_rate", 0.0)
+        return cls(interval)
 
 
 class Workload:
@@ -225,9 +221,9 @@ def _require_duration(workload: Workload) -> float:
     return d
 
 
-def _first_reading(provider: PowerProvider, clock) -> PowerSample:
+def _first_reading(provider: PowerProvider, t: float) -> float:
     try:
-        return provider.next_sample(clock)
+        return provider.next_sample(t)
     except Exception as exc:
         raise SamplerStartupFailure(
             f"could not take a reading before the workload started: {exc}"
@@ -249,8 +245,6 @@ def run_sma(
     inside the trace, so callers get the raw recording only.
     """
     config = config or SamplerConfig.fixed_interval()
-    if config.mode != "fixed_interval":
-        raise ValueError("run_sma requires a fixed-interval sampler config")
     if lead < 0 or tail < 0:
         raise ValueError("lead and tail must be >= 0")
     clock = clock or VirtualClock()
@@ -269,38 +263,26 @@ def _sma_virtual(provider, workload, interval, lead, tail, clock) -> PowerTrace:
     clock.jump_to(t0 + lead)
     workload.run(clock)
     t_end = t0 + lead + duration + tail
-    samples = []
-    k = 0
-    while True:
-        t = t0 + k * interval
-        if t > t_end + 1e-12:
-            break
-        samples.append(provider.next_sample(_GridClock(t)))
-        k += 1
+    times = []
+    while (t := t0 + len(times) * interval) <= t_end + 1e-12:
+        times.append(t)
+    powers = [provider.next_sample(t) for t in times]
     clock.jump_to(max(t_end, clock.now))
-    return PowerTrace.from_samples(samples)
-
-
-class _GridClock:
-    """Fixed-time view handed to providers when evaluating a known grid."""
-
-    def __init__(self, t: float):
-        self.now = t
-
-    @property
-    def is_virtual(self) -> bool:
-        return True
+    return PowerTrace(times, powers)
 
 
 def _sma_threaded(provider, workload, interval, lead, tail, clock) -> PowerTrace:
-    samples: list[PowerSample] = []
+    times: list[float] = []
+    powers: list[float] = []
     errors: list[BaseException] = []
     stop = threading.Event()
 
     def sampler():
         try:
             while not stop.is_set():
-                samples.append(provider.next_sample(clock))
+                t = clock.now
+                powers.append(provider.next_sample(t))
+                times.append(t)
                 stop.wait(interval)
         except BaseException as exc:
             errors.append(exc)
@@ -318,17 +300,19 @@ def _sma_threaded(provider, workload, interval, lead, tail, clock) -> PowerTrace
         th.join()
     if errors:
         raise errors[0]
-    return PowerTrace.from_samples(_monotonic(samples))
+    return PowerTrace(*_monotonic(times, powers))
 
 
-def _monotonic(samples: list[PowerSample]) -> list[PowerSample]:
+def _monotonic(times: list[float], powers: list[float]) -> tuple[list[float], list[float]]:
     # Coarse wall clocks can repeat a timestamp between consecutive reads;
     # drop readings that do not advance so trace invariants hold.
-    out: list[PowerSample] = []
-    for s in samples:
-        if not out or s.t > out[-1].t:
-            out.append(s)
-    return out
+    kept_t: list[float] = []
+    kept_p: list[float] = []
+    for t, p in zip(times, powers):
+        if not kept_t or t > kept_t[-1]:
+            kept_t.append(t)
+            kept_p.append(p)
+    return kept_t, kept_p
 
 
 def run_papi_style(
@@ -348,15 +332,16 @@ def run_papi_style(
     t_start = clock.now
     workload.run(clock)
     t_end = clock.now
-    reading = provider.next_sample(clock)
+    t_read = clock.now
+    power = provider.next_sample(t_read)
     elapsed = t_end - t_start
-    energy = reading.power * elapsed
+    energy = power * elapsed
     return EnergyResult(
         strategy=Strategy.PAPI_STYLE,
         energy=energy,
         elapsed=elapsed,
         n_samples=1,
-        trace=PowerTrace.from_samples([reading]),
+        trace=PowerTrace([t_read], [power]),
         flag_timeline=(t_start, t_end),
         label=label or workload.label,
     )
@@ -389,7 +374,7 @@ def _mtsm_virtual(provider, workload, clock: VirtualClock, label) -> EnergyResul
     cost = clock.read_cost
     flag_set = clock.now
 
-    samples = [_first_reading(provider, clock)]
+    first = _first_reading(provider, flag_set)
     clock.advance(cost)
 
     t_start = clock.now
@@ -400,24 +385,20 @@ def _mtsm_virtual(provider, workload, clock: VirtualClock, label) -> EnergyResul
     # Sampler grid continues from the handshake read; the flag clear is
     # observed at the first grid point at or after workload completion, so
     # that point is both the last sample and the clear time.
-    k = 1
-    while True:
-        t = flag_set + k * cost
-        samples.append(provider.next_sample(_GridClock(t)))
-        k += 1
-        if t >= t_end:
-            flag_clear = t
-            break
+    times = [flag_set]
+    while times[-1] < t_end:
+        times.append(flag_set + len(times) * cost)
+    flag_clear = times[-1]
+    powers = [first] + [provider.next_sample(t) for t in times[1:]]
     clock.jump_to(max(flag_clear, clock.now))
 
-    powers = [s.power for s in samples]
     energy = energy_from_readings(powers, elapsed)
-    trace = PowerTrace.from_samples(samples, KernelWindow(flag_set, flag_clear))
+    trace = PowerTrace(times, powers, KernelWindow(flag_set, flag_clear))
     return EnergyResult(
         strategy=Strategy.MTSM,
         energy=energy,
         elapsed=elapsed,
-        n_samples=len(samples),
+        n_samples=len(times),
         trace=trace,
         flag_timeline=(flag_set, flag_clear),
         label=label or workload.label,
@@ -427,14 +408,17 @@ def _mtsm_virtual(provider, workload, clock: VirtualClock, label) -> EnergyResul
 def _mtsm_threaded(provider, workload, clock, label, startup_timeout=5.0) -> EnergyResult:
     flag = threading.Event()
     ready = threading.Event()
-    samples: list[PowerSample] = []
+    times: list[float] = []
+    powers: list[float] = []
     errors: list[BaseException] = []
 
     def sampler():
         try:
             flag.wait()
             while flag.is_set():
-                samples.append(provider.next_sample(clock))
+                t = clock.now
+                powers.append(provider.next_sample(t))
+                times.append(t)
                 if not ready.is_set():
                     ready.set()
         except BaseException as exc:
@@ -447,7 +431,7 @@ def _mtsm_threaded(provider, workload, clock, label, startup_timeout=5.0) -> Ene
     flag_set = clock.now
     flag.set()
     ready.wait(timeout=startup_timeout)
-    if errors or not samples:
+    if errors or not times:
         flag.clear()
         th.join()
         if errors:
@@ -468,18 +452,15 @@ def _mtsm_threaded(provider, workload, clock, label, startup_timeout=5.0) -> Ene
     if errors:
         raise errors[0]
 
-    kept = _monotonic(samples)
-    powers = [s.power for s in kept]
-    energy = energy_from_readings(powers, elapsed)
-    window = None
-    if len(kept) > 1:
-        window = KernelWindow(kept[0].t, kept[-1].t)
-    trace = PowerTrace.from_samples(kept, window)
+    kept_t, kept_p = _monotonic(times, powers)
+    energy = energy_from_readings(kept_p, elapsed)
+    window = KernelWindow(kept_t[0], kept_t[-1]) if len(kept_t) > 1 else None
+    trace = PowerTrace(kept_t, kept_p, window)
     return EnergyResult(
         strategy=Strategy.MTSM,
         energy=energy,
         elapsed=elapsed,
-        n_samples=len(kept),
+        n_samples=len(kept_t),
         trace=trace,
         flag_timeline=(flag_set, flag_clear),
         label=label or workload.label,

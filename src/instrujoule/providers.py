@@ -1,7 +1,8 @@
 """Power providers: the sensor abstraction read by the measurement strategies.
 
-A provider answers one question: what is the instantaneous board power right
-now? ``next_sample(clock)`` evaluates at the clock's current time. Three
+A provider answers one question: what is the instantaneous board power at
+time ``t``? ``next_sample(t)`` returns that power in mW. The caller owns the
+clock and passes its reading; providers never see a clock. Three
 implementations ship with the toolkit:
 
 * ReplayProvider      plays back a recorded trace, step-hold interpolated
@@ -13,7 +14,8 @@ implementations ship with the toolkit:
                       profile, then plateau / ramp / stepped decay.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
-same contract but is not bundled; see ``LiveSensorProvider``.
+same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
+``--provider live``.
 
 Providers are stateful and single-consumer: exactly one sampling activity
 may drive an instance. Create a fresh provider per measurement run.
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ProviderExhausted, SensorUnavailable
+from .errors import ProviderExhausted
 from .synthetic import SyntheticModel, noise_free_power
-from .trace import PowerSample, PowerTrace
+from .trace import PowerTrace
 
 
 class PowerProvider:
-    """Contract: ``next_sample(clock)`` returns the power at ``clock.now``."""
+    """Contract: ``next_sample(t)`` returns the power (mW) at time ``t`` (s)."""
 
-    def next_sample(self, clock) -> PowerSample:
+    def next_sample(self, t: float) -> float:
         raise NotImplementedError
 
 
@@ -41,8 +43,7 @@ class ReplayProvider(PowerProvider):
     def __init__(self, trace: PowerTrace):
         self._trace = trace
 
-    def next_sample(self, clock) -> PowerSample:
-        t = clock.now
+    def next_sample(self, t: float) -> float:
         times = self._trace.times
         if times.size == 0:
             raise ProviderExhausted("replay trace is empty")
@@ -51,7 +52,7 @@ class ReplayProvider(PowerProvider):
         if t > times[-1]:
             raise ProviderExhausted(f"replay queried at {t:.9g}s, past trace end {times[-1]:.9g}s")
         idx = int(np.searchsorted(times, t, side="right")) - 1
-        return PowerSample(t, float(self._trace.powers[idx]))
+        return float(self._trace.powers[idx])
 
 
 class ConstantPowerProvider(PowerProvider):
@@ -60,8 +61,8 @@ class ConstantPowerProvider(PowerProvider):
             raise ValueError("power must be >= 0")
         self.power_mw = float(power_mw)
 
-    def next_sample(self, clock) -> PowerSample:
-        return PowerSample(clock.now, self.power_mw)
+    def next_sample(self, t: float) -> float:
+        return self.power_mw
 
 
 class SyntheticDeviceProvider(PowerProvider):
@@ -85,27 +86,11 @@ class SyntheticDeviceProvider(PowerProvider):
             raise RuntimeError("provider already launched; use a fresh instance per run")
         self._t_launch = float(t)
 
-    def next_sample(self, clock) -> PowerSample:
-        t = clock.now
+    def next_sample(self, t: float) -> float:
         if self._t_launch is None:
             p = float(self.model.p_idle)
         else:
             p = float(noise_free_power(self.model, t, self._t_launch))
         if self.model.noise_stddev > 0:
             p = max(p + float(self._rng.normal(0.0, self.model.noise_stddev)), 0.0)
-        return PowerSample(t, p)
-
-
-class LiveSensorProvider(PowerProvider):
-    """Placeholder for a live board-sensor adapter.
-
-    A real adapter wraps a vendor query returning instantaneous board power
-    in milliwatts and raises SensorUnavailable when the device or library
-    cannot be reached. None is bundled; constructing this class always
-    raises, which keeps the CLI surface honest about what is supported.
-    """
-
-    def __init__(self):
-        raise SensorUnavailable(
-            "no live sensor adapter is bundled; use replay or synthetic providers"
-        )
+        return p

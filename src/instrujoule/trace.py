@@ -14,7 +14,7 @@ MalformedTrace naming the offending line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,12 +22,6 @@ from . import _csv
 from .errors import MalformedTrace
 
 _HEADER = "t_s,power_mw"
-
-
-@dataclass(frozen=True)
-class PowerSample:
-    t: float        # seconds, relative to trace start
-    power: float    # milliwatts, non-negative
 
 
 @dataclass(frozen=True)
@@ -103,11 +97,6 @@ class PowerTrace:
     def __repr__(self) -> str:
         w = f", window=[{self.window.start}, {self.window.end}]" if self.window else ""
         return f"PowerTrace({len(self)} samples{w})"
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[PowerSample], window: KernelWindow | None = None):
-        samples = list(samples)
-        return cls([s.t for s in samples], [s.power for s in samples], window)
 
     def with_window(self, window: KernelWindow | None) -> "PowerTrace":
         return PowerTrace(self.times, self.powers, window)

@@ -5,19 +5,12 @@ import pytest
 
 from instrujoule import (
     ConstantPowerProvider,
-    LiveSensorProvider,
     PowerTrace,
     ProviderExhausted,
     ReplayProvider,
-    SensorUnavailable,
     SyntheticDeviceProvider,
     SyntheticModel,
-    VirtualClock,
 )
-
-
-def clock_at(t):
-    return VirtualClock(start=t)
 
 
 class TestReplayProvider:
@@ -25,33 +18,31 @@ class TestReplayProvider:
         self.provider = ReplayProvider(PowerTrace([0.0, 1.0], [100.0, 200.0]))
 
     def test_step_hold_between_samples(self):
-        s = self.provider.next_sample(clock_at(0.5))
-        assert s.power == 100.0
-        assert s.t == 0.5
+        assert self.provider.next_sample(0.5) == 100.0
 
     def test_exact_timestamps(self):
-        assert self.provider.next_sample(clock_at(0.0)).power == 100.0
-        assert self.provider.next_sample(clock_at(1.0)).power == 200.0
+        assert self.provider.next_sample(0.0) == 100.0
+        assert self.provider.next_sample(1.0) == 200.0
 
     def test_past_end_exhausted(self):
         with pytest.raises(ProviderExhausted):
-            self.provider.next_sample(clock_at(1.0001))
+            self.provider.next_sample(1.0001)
 
     def test_before_start_exhausted(self):
         with pytest.raises(ProviderExhausted):
-            self.provider.next_sample(clock_at(-0.1))
+            self.provider.next_sample(-0.1)
 
     def test_empty_trace_exhausted(self):
         provider = ReplayProvider(PowerTrace([], []))
         with pytest.raises(ProviderExhausted):
-            provider.next_sample(clock_at(0.0))
+            provider.next_sample(0.0)
 
 
 class TestConstantProvider:
     def test_constant(self):
         provider = ConstantPowerProvider(5_000.0)
         for t in (0.0, 1.5, 99.0):
-            assert provider.next_sample(clock_at(t)).power == 5_000.0
+            assert provider.next_sample(t) == 5_000.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -62,14 +53,14 @@ class TestSyntheticDeviceProvider:
     def test_idle_until_launch(self):
         model = SyntheticModel(p_idle=7_000.0, noise_stddev=0.0)
         provider = SyntheticDeviceProvider(model)
-        assert provider.next_sample(clock_at(100.0)).power == 7_000.0
+        assert provider.next_sample(100.0) == 7_000.0
 
     def test_plateau_after_launch(self):
         model = SyntheticModel(p_idle=7_000.0, p_kernel=3_000.0, noise_stddev=0.0)
         provider = SyntheticDeviceProvider(model)
         provider.launch(10.0)
         mid = 10.0 + model.pre_rise_lead + model.kernel_duration / 2
-        assert provider.next_sample(clock_at(mid)).power == 10_000.0
+        assert provider.next_sample(mid) == 10_000.0
 
     def test_double_launch_rejected(self):
         provider = SyntheticDeviceProvider(SyntheticModel())
@@ -83,18 +74,12 @@ class TestSyntheticDeviceProvider:
         for _ in range(2):
             provider = SyntheticDeviceProvider(model)
             provider.launch(0.0)
-            readings.append([provider.next_sample(clock_at(t)).power for t in np.linspace(0, 3, 50)])
+            readings.append([provider.next_sample(t) for t in np.linspace(0, 3, 50)])
         assert readings[0] == readings[1]
 
     def test_noise_clamped_non_negative(self):
         model = SyntheticModel(p_idle=1.0, p_kernel=1.0, noise_stddev=1e6, rng_seed=0)
         provider = SyntheticDeviceProvider(model)
         assert all(
-            provider.next_sample(clock_at(t)).power >= 0.0 for t in np.linspace(0, 2, 200)
+            provider.next_sample(t) >= 0.0 for t in np.linspace(0, 2, 200)
         )
-
-
-class TestLiveContract:
-    def test_constructing_live_provider_raises(self):
-        with pytest.raises(SensorUnavailable):
-            LiveSensorProvider()
