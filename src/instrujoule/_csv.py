@@ -1,74 +1,93 @@
 """The one CSV codec behind power traces and hardware captures.
 
 Both formats: ``#`` comments, a header, then rows of ``%.9g`` floats; callers
-own their comments, header, width and row rule. Reading checks one
-``np.loadtxt`` parse on the arrays; on any failure a line-by-line scan accepts
-exactly what ``float()`` accepts and reports the offending line.
+own their comments, header, width and row rule. Neither direction holds a
+whole-file copy of the text. Writes stream in chunks of 8192 rows. Reads take
+the source's bytes once and parse the body in place with one ``np.loadtxt``
+pass, checked on the arrays; the bytes are freed before the arrays are copied
+into columns, so peak memory is about the file size plus the parsed arrays, or
+twice the arrays if that is more (at most the file size plus twice the
+arrays). On any failure a line-by-line scan accepts exactly what ``float()``
+accepts and reports the offending line.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
-_CHUNK = 8192  # rows formatted per batch, bounding the floats alive at once
+_CHUNK = 8192  # rows formatted and written per batch, bounding the text alive at once
 # ASCII that str.splitlines() breaks lines on besides "\n", or that
 # np.loadtxt strips from a field and float() does not
-_NOT_PLAIN = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_NOT_PLAIN = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_NOT_NEWLINE = re.compile(rb"[^\n]")
+
+
+def _chunks(head: list[str], columns):
+    fmt = ",".join(["%.9g"] * len(columns))
+    yield "\n".join(head) + "\n"
+    for i in range(0, len(columns[0]), _CHUNK):
+        rows = zip(*(c[i:i + _CHUNK].tolist() for c in columns))
+        yield "\n".join([fmt % row for row in rows]) + "\n"
 
 
 def write(sink, head: list[str], columns) -> None:
     """Write ``head``, then one row per index of ``columns``, to a path,
-    text stream or binary stream."""
-    fmt = ",".join(["%.9g"] * len(columns))
-    parts = list(head)
-    for i in range(0, len(columns[0]), _CHUNK):
-        rows = zip(*(c[i:i + _CHUNK].tolist() for c in columns))
-        parts.append("\n".join([fmt % row for row in rows]))
-    text = "\n".join(parts) + "\n"
+    text stream or binary stream, one chunk of rows per write."""
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    elif hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase):
-        sink.write(text)
-    else:
-        sink.write(text.encode("utf-8"))
+        with Path(sink).open("w", encoding="utf-8") as f:
+            write(f, head, columns)
+        return
+    text = hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase)
+    for chunk in _chunks(head, columns):
+        sink.write(chunk if text else chunk.encode("utf-8"))
 
 
 class Reader:
-    """Cursor over one CSV text: comments, then the header and rows.
-    Errors are ``error_cls(message, line)``."""
+    """Cursor over the bytes of one CSV file: comments, then the header and
+    rows. Errors are ``error_cls(message, line)``."""
 
     def __init__(self, source, error_cls):
         if isinstance(source, (str, Path)):
             path = Path(source)
             if not path.exists():
                 raise error_cls(f"no such file: {path}")
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
+            if b"\r" in data:  # end lines as Path.read_text does, so CRLF files stay plain
+                data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         else:
-            text = source if isinstance(source, bytes) else source.read()
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
+            data = source if isinstance(source, bytes) else source.read()
+        if isinstance(data, str) and data.isascii():
+            data = data.encode("ascii")
         # numpy parses only text whose lines and fields it splits as the scan does
-        self._plain = text.isascii() and not any(c in text for c in _NOT_PLAIN)
-        self._text = text if self._plain else "\n".join(text.splitlines())
-        self._error, self._pos, self._line_no = error_cls, 0, 1
+        self._plain = (
+            isinstance(data, bytes)
+            and data.isascii()
+            and not any(c in data for c in _NOT_PLAIN)
+        )
+        if not self._plain:
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+            # the scan's lines, "\n"-joined; surrogatepass keeps any str a text stream gave
+            data = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
+        self._data, self._error, self._pos, self._line_no = data, error_cls, 0, 1
 
     def _next_line(self) -> str | None:
-        text, pos = self._text, self._pos
-        if pos >= len(text):
+        data, pos = self._data, self._pos
+        if pos >= len(data):
             return None
-        end = text.find("\n", pos)
-        end = len(text) if end < 0 else end
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
         self._pos, self._line_no = end + 1, self._line_no + 1
-        return text[pos:end]
+        return data[pos:end].decode("utf-8", "surrogatepass")
 
     def comments(self, limit: int | None = None) -> list[str]:
         """The leading lines that start with ``#``, at most ``limit`` of them."""
         out = []
-        while (limit is None or len(out) < limit) and self._text.startswith("#", self._pos):
+        while (limit is None or len(out) < limit) and self._data.startswith(b"#", self._pos):
             out.append(self._next_line())
         return out
 
@@ -81,25 +100,35 @@ class Reader:
         got = "<end of file>" if line is None else line.strip()
         if got != header:
             raise self._error(f"expected header '{header}', got '{got}'", line_no)
-        body = self._text[self._pos:]
-        if self._plain and body and not body.isspace():
-            try:
-                cols = np.loadtxt(
-                    io.StringIO(body), delimiter=",", comments=None, dtype=np.float64, ndmin=2
-                ).T.copy()
-            except ValueError:
-                cols = np.empty((0, 0))
-            if (
-                len(cols) == width
-                and np.isfinite(cols).all()
-                and (np.diff(cols[0]) > 0).all()
-                and (nonnegative is None or (cols[nonnegative[0]] >= 0).all())
-            ):
-                return cols
-        return self._scan(body, width, width_message, nonnegative)
+        cols = self._loadtxt(width, nonnegative)
+        return self._scan(width, width_message, nonnegative) if cols is None else cols
 
-    def _scan(self, body, width, width_message, nonnegative) -> np.ndarray:
+    def _loadtxt(self, width, nonnegative) -> np.ndarray | None:
+        """The body parsed in place by numpy, or None when numpy cannot parse
+        it or a check fails."""
+        if not self._plain or _NOT_NEWLINE.search(self._data, self._pos) is None:
+            return None
+        body = io.BytesIO(self._data)  # shares the bytes, no copy
+        body.seek(self._pos)
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+        if not (
+            rows.shape[1] == width
+            and np.isfinite(rows).all()
+            and (np.diff(rows[:, 0]) > 0).all()
+            and (nonnegative is None or (rows[:, nonnegative[0]] >= 0).all())
+        ):
+            return None
+        # the text is spent: free it before the transposed copy doubles the arrays
+        del body
+        self._data = b""
+        return rows.T.copy()
+
+    def _scan(self, width, width_message, nonnegative) -> np.ndarray:
         error, rows = self._error, []
+        body = self._data[self._pos:].decode("utf-8", "surrogatepass")
         for line_no, line in enumerate(body.splitlines(), self._line_no):
             line = line.strip()
             if not line:

@@ -67,8 +67,8 @@ def _energy_result_json(result: EnergyResult) -> dict:
         "flag_set_s": result.flag_timeline[0],
         "flag_clear_s": result.flag_timeline[1],
         "trace": {
-            "t_s": [float(t) for t in result.trace.times],
-            "power_mw": [float(p) for p in result.trace.powers],
+            "t_s": result.trace.times.tolist(),
+            "power_mw": result.trace.powers.tolist(),
             "window": (
                 [result.trace.window.start, result.trace.window.end]
                 if result.trace.window

@@ -42,7 +42,7 @@ class PowerTrace:
     """Immutable, numpy-backed power trace.
 
     Construction validates the invariants: finite strictly increasing
-    timestamps, non-negative power, and (when present) a window contained
+    timestamps, finite non-negative power, and (when present) a window contained
     in the sampled span.
     """
 
@@ -60,6 +60,8 @@ class PowerTrace:
             raise MalformedTrace("times and powers must be 1-d arrays of equal length")
         if t.size and not np.all(np.isfinite(t)):
             raise MalformedTrace("non-finite timestamp")
+        if p.size and not np.all(np.isfinite(p)):
+            raise MalformedTrace("non-finite power sample")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             idx = int(np.argmax(np.diff(t) <= 0))
             raise MalformedTrace(f"timestamps not strictly increasing at index {idx + 1}")

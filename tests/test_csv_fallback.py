@@ -4,7 +4,8 @@ The reader parses the body in one numpy pass and falls back to a
 line-by-line scan when that pass rejects the text or a check fails. These
 cases pin what the scan reports: the error class, the message and the line
 number. They also pin input that the numpy pass rejects but the scan
-accepts, with the arrays it loads.
+accepts, with the arrays it loads, and fuzz that whatever the numpy pass
+accepts the scan accepts too, with identical arrays.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from instrujoule import (
     load_hw_capture,
     load_trace,
 )
+from instrujoule import _csv
 
 H = "t_s,power_mw\n"
 C = "# r_s_ohm: 0.1\nt_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps\n"
@@ -146,3 +148,59 @@ def test_capture_loads(name):
     expected = np.array(rows, dtype=np.float64).reshape(len(times), 6)
     got = np.column_stack([capture.channels[k] for k in capture.channels]).reshape(len(times), 6)
     assert got.tolist() == expected.tolist()
+
+
+# characters a mutation inserts or substitutes: number syntax, separators
+# and whitespace that numpy and float() might treat differently
+MUTATION_CHARS = "0123456789.,+-eE_xp #\n\t \x1f\xa0\r"
+# whole fields a mutation puts in place of one
+MUTATION_FIELDS = ["inf", "-Infinity", "nan", "1e999", "-0", "+5", "1_0", ".5", "5.", "0x1", " 3 ", ""]
+FUZZ_BASES = {
+    "trace": (
+        "# window: 0.001,0.004\n" + H + "".join(f"{i * 1e-3:.9g},{90 + 7 * i}\n" for i in range(6)),
+        MalformedTrace, 1, 2, (1, "negative power")),
+    "capture": (
+        C + "".join(f"{i * 2e-4:.9g},12.1,12,3.4,3.3,1{i},12\n" for i in range(4)),
+        MalformedCapture, None, 7, None),
+}
+
+
+def _mutate(text: str, rng) -> str:
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(len(text)))
+        kind = rng.integers(4)
+        if kind == 0:
+            text = text[:i] + MUTATION_CHARS[rng.integers(len(MUTATION_CHARS))] + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + 1:]
+        elif kind == 2:
+            text = text[:i] + MUTATION_CHARS[rng.integers(len(MUTATION_CHARS))] + text[i + 1:]
+        else:
+            start = max(text.rfind(",", 0, i), text.rfind("\n", 0, i)) + 1
+            ends = [e for e in (text.find(",", i), text.find("\n", i)) if e >= 0]
+            field = MUTATION_FIELDS[rng.integers(len(MUTATION_FIELDS))]
+            text = text[:start] + field + text[min(ends, default=len(text)):]
+    return text
+
+
+def _body_reader(text: str, cls, limit) -> _csv.Reader:
+    reader = _csv.Reader(text.encode(), cls)
+    reader.comments(limit)
+    reader._next_line()  # the header, checked elsewhere
+    return reader
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_BASES))
+def test_numpy_path_accepts_only_what_the_scan_accepts(name):
+    base, cls, limit, width, nonnegative = FUZZ_BASES[name]
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for _ in range(3000):
+        text = _mutate(base, rng)
+        fast = _body_reader(text, cls, limit)._loadtxt(width, nonnegative)
+        if fast is None:
+            continue
+        accepted += 1
+        scanned = _body_reader(text, cls, limit)._scan(width, "expected {fields}", nonnegative)
+        assert (fast.shape, fast.tobytes()) == (scanned.shape, scanned.tobytes())
+    assert accepted >= 600

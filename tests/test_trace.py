@@ -21,6 +21,11 @@ class TestPowerTraceInvariants:
         with pytest.raises(MalformedTrace):
             PowerTrace([0.0, float("inf")], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_power_rejected(self, bad):
+        with pytest.raises(MalformedTrace, match="non-finite power sample"):
+            PowerTrace([0.0, 1.0], [1.0, bad])
+
     def test_window_must_lie_within_span(self):
         with pytest.raises(MalformedTrace):
             PowerTrace([0.0, 1.0], [1.0, 1.0], KernelWindow(0.5, 1.5))
