@@ -71,8 +71,9 @@ class Reader:
         )
         if not self._plain:
             text = data.decode("utf-8") if isinstance(data, bytes) else data
-            # the scan's lines, "\n"-joined; surrogatepass keeps any str a text stream gave
-            data = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
+            # the scan's lines, each ended with "\n" as a path's translated line ends are;
+            # surrogatepass keeps any str a text stream gave
+            data = "".join(l + "\n" for l in text.splitlines()).encode("utf-8", "surrogatepass")
         self._data, self._error, self._pos, self._line_no = data, error_cls, 0, 1
 
     def _next_line(self) -> str | None:

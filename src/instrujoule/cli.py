@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -164,9 +163,7 @@ def _cmd_measure(args) -> int:
     if strategy == Strategy.SMA:
         config = SamplerConfig.fixed_interval(args.interval)
         trace = run_sma(provider, workload, config, lead=args.lead, tail=args.tail, clock=clock)
-        buf = io.StringIO()
-        save_trace(trace, buf)
-        _write_out(buf.getvalue(), args.out)
+        save_trace(trace, sys.stdout if args.out == "-" else args.out)
         return 0
 
     runner = run_papi_style if strategy == Strategy.PAPI_STYLE else run_mtsm
@@ -201,9 +198,7 @@ def _cmd_analyze_hw(args) -> int:
     trace = hw_power_trace(capture)
     if window is not None:
         trace = trace.with_window(window)
-    buf = io.StringIO()
-    save_trace(trace, buf)
-    _write_out(buf.getvalue(), args.out)
+    save_trace(trace, sys.stdout if args.out == "-" else args.out)
     return 0
 
 

@@ -15,12 +15,13 @@ between a total and an overhead run by the instruction count:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyWindow, ZeroInstructions
+from .errors import EmptyWindow, MalformedTrace, ZeroInstructions
 from .trace import KernelWindow, PowerTrace
 
 if TYPE_CHECKING:  # avoid a circular import; monitor builds these results
@@ -31,11 +32,16 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 
 def energy_from_readings(powers, elapsed: float) -> float:
-    """Sample-mean energy (mJ) of ``powers`` (mW) over ``elapsed`` seconds."""
+    """Sample-mean energy (mJ) of ``powers`` (mW) over ``elapsed`` seconds.
+
+    Raises MalformedTrace on a NaN or infinite reading."""
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0:
         raise EmptyWindow("no power readings")
-    return elapsed / powers.size * float(np.sum(powers))
+    total = float(np.sum(powers))
+    if not math.isfinite(total):  # a NaN or inf reading propagates into the sum
+        raise MalformedTrace("non-finite power reading")
+    return elapsed / powers.size * total
 
 
 def _window_slice(trace: PowerTrace, window: KernelWindow):

@@ -18,14 +18,14 @@ Three ways to turn a power provider plus a workload into data:
                      recorded readings times the timed elapsed, so only
                      readings from the kernel window contribute.
 
-Both a real threaded mode (RealClock) and a deterministic single-threaded
-simulation (VirtualClock) are provided. Runners own the clock: each read
-passes the time of the read to ``provider.next_sample(t)`` and records the
-(time, power) pair. Under the virtual clock, time advances only at provider
-reads (a configurable per-read cost, default 0.5 ms, i.e. a ~2 kHz
-effective sampling rate) and at workload boundaries, which makes every run
-bit-reproducible; a virtual runner builds its whole time grid first and then
-reads it in one pass. The flag-clear instant is defined as the sampler's
+Each strategy is one driver sequence run inside a sampler, and the clock
+picks the sampler. Under RealClock a thread reads ``clock.now`` and then
+``provider.next_sample(t)`` until stopped: every ``interval`` seconds for
+SMA, back to back for MTSM. Under VirtualClock time advances only at
+provider reads (a configurable per-read cost, default 0.5 ms, i.e. a ~2 kHz
+effective sampling rate) and at workload boundaries, and the sampler reads
+its whole time grid in one pass once the block has run, which makes every
+run bit-reproducible. The flag-clear instant is defined as the sampler's
 first read at or after workload completion, so the flag interval coincides
 exactly with the recorded sample span.
 
@@ -39,7 +39,10 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .energy import InstructionEnergy, energy_from_readings, instruction_energy
 from .errors import SamplerStartupFailure
@@ -211,23 +214,142 @@ class EnergyResult:
     label: str = "kernel"
 
 
-def _require_duration(workload: Workload) -> float:
-    d = workload.duration
-    if d is None:
-        raise ValueError(
-            f"workload {workload.label!r} has no fixed duration; "
-            "simulated runs need TimedWorkload or KernelLaunchWorkload"
-        )
-    return d
+def _sampler(provider: PowerProvider, workload: Workload, clock, interval: float | None = None):
+    """The sampler a driver runs its block inside: reads every ``interval``
+    seconds (SMA) or back to back (MTSM, ``interval=None``), virtual or
+    threaded as the clock is."""
+    if clock.is_virtual:
+        if workload.duration is None:
+            raise ValueError(
+                f"workload {workload.label!r} has no fixed duration; "
+                "simulated runs need TimedWorkload or KernelLaunchWorkload"
+            )
+        return _VirtualSampler(provider, clock, interval)
+    return _ThreadedSampler(provider, clock, interval)
 
 
-def _first_reading(provider: PowerProvider, t: float) -> float:
-    try:
-        return provider.next_sample(t)
-    except Exception as exc:
-        raise SamplerStartupFailure(
-            f"could not take a reading before the workload started: {exc}"
-        ) from exc
+class _VirtualSampler:
+    """Reads its time grid after the block: once the workload has run under a
+    virtual clock, the provider is a pure function of time.
+
+    Fixed interval: ``t0 + k*interval`` up to the end of the block. Back to
+    back: a handshake read at flag set, before the workload launches, then
+    ``t0 + k*read_cost`` up to the first point at or after completion, where
+    the flag clear is observed.
+    """
+
+    def __init__(self, provider, clock: VirtualClock, interval):
+        self.provider, self.clock, self.interval = provider, clock, interval
+        self.times: list[float] = []
+        self.powers: list[float] = []
+
+    def __enter__(self):
+        self.flag_set = self.clock.now
+        if self.interval is None:  # the handshake read
+            try:
+                self.powers.append(self.provider.next_sample(self.flag_set))
+            except Exception as exc:
+                raise SamplerStartupFailure(
+                    f"could not take a reading before the workload started: {exc}"
+                ) from exc
+            self.times.append(self.flag_set)
+            self.clock.advance(self.clock.read_cost)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            return
+        t0, t_end, times = self.flag_set, self.clock.now, self.times
+        if self.interval is None:
+            step = self.clock.read_cost
+            while times[-1] < t_end:
+                times.append(t0 + len(times) * step)
+            self.clock.jump_to(times[-1])  # the clear is observed at the last read
+        else:
+            step = self.interval
+            while (t := t0 + len(times) * step) <= t_end + 1e-12:
+                times.append(t)
+        read = self.provider.next_sample
+        self.powers += [read(t) for t in times[len(self.powers):]]
+        self.flag_clear = times[-1]
+
+
+class _ThreadedSampler:
+    """A thread that reads ``clock.now`` and then the provider until stopped,
+    waiting ``interval`` seconds between reads when one is given.
+
+    Entering starts the thread, sets the flag and returns after the first
+    reading (SamplerStartupFailure if none comes). Exiting stops and joins
+    the thread, even when the block raised; if the block did not, it then
+    raises the sampler's error.
+    """
+
+    startup_timeout = 5.0
+
+    def __init__(self, provider, clock, interval):
+        self.provider, self.clock, self.interval = provider, clock, interval
+        self.times: list[float] = []
+        self.powers: list[float] = []
+        self._errors: list[BaseException] = []
+        self._flag, self._ready, self._stop = threading.Event(), threading.Event(), threading.Event()
+        name = "mtsm-sampler" if interval is None else "sma-sampler"
+        self._thread = threading.Thread(target=self._sample, name=name, daemon=True)
+
+    def _sample(self):
+        clock, read, times, powers = self.clock, self.provider.next_sample, self.times, self.powers
+        ready, stop = self._ready, self._stop
+        stopped = stop.is_set if self.interval is None else partial(stop.wait, self.interval)
+        try:
+            self._flag.wait()
+            while True:
+                t = clock.now
+                powers.append(read(t))
+                times.append(t)
+                if not ready.is_set():
+                    ready.set()
+                if stopped():
+                    break
+        except BaseException as exc:
+            self._errors.append(exc)
+        finally:
+            ready.set()
+
+    def _join(self) -> None:
+        self._stop.set()
+        self._thread.join()
+        # read before filtering: the flag span covers the sampling, not the filter
+        self.flag_clear = self.clock.now
+
+    def __enter__(self):
+        self._thread.start()
+        # read once the thread is up, so its start-up is not in the handshake
+        self.flag_set = self.clock.now
+        self._flag.set()
+        self._ready.wait(timeout=self.startup_timeout)
+        if not self.times:
+            self._join()
+            if self._errors:
+                raise SamplerStartupFailure(
+                    f"sampler failed before the workload started: {self._errors[0]}"
+                ) from self._errors[0]
+            raise SamplerStartupFailure("sampler produced no reading before startup timeout")
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._join()
+        if self._errors and exc_type is None:
+            raise self._errors[0]
+        self.times, self.powers = _monotonic(self.times, self.powers)
+
+
+def _monotonic(times, powers) -> tuple[np.ndarray, np.ndarray]:
+    # Coarse wall clocks can repeat a timestamp between consecutive reads;
+    # keep a reading only if it is later than every earlier one, so trace
+    # invariants hold.
+    t, p = np.asarray(times, dtype=np.float64), np.asarray(powers, dtype=np.float64)
+    keep = np.ones(t.size, dtype=bool)
+    keep[1:] = t[1:] > np.maximum.accumulate(t)[:-1]
+    return t[keep], p[keep]
 
 
 def run_sma(
@@ -249,70 +371,11 @@ def run_sma(
         raise ValueError("lead and tail must be >= 0")
     clock = clock or VirtualClock()
     workload = workload.bind(provider)
-    if clock.is_virtual:
-        return _sma_virtual(provider, workload, config.interval, lead, tail, clock)
-    return _sma_threaded(provider, workload, config.interval, lead, tail, clock)
-
-
-def _sma_virtual(provider, workload, interval, lead, tail, clock) -> PowerTrace:
-    t0 = clock.now
-    duration = _require_duration(workload)
-    # The workload's future is fully determined, so anchor it first; the
-    # provider is a pure function of time afterwards and the sample grid can
-    # be evaluated in order.
-    clock.jump_to(t0 + lead)
-    workload.run(clock)
-    t_end = t0 + lead + duration + tail
-    times = []
-    while (t := t0 + len(times) * interval) <= t_end + 1e-12:
-        times.append(t)
-    powers = [provider.next_sample(t) for t in times]
-    clock.jump_to(max(t_end, clock.now))
-    return PowerTrace(times, powers)
-
-
-def _sma_threaded(provider, workload, interval, lead, tail, clock) -> PowerTrace:
-    times: list[float] = []
-    powers: list[float] = []
-    errors: list[BaseException] = []
-    stop = threading.Event()
-
-    def sampler():
-        try:
-            while not stop.is_set():
-                t = clock.now
-                powers.append(provider.next_sample(t))
-                times.append(t)
-                stop.wait(interval)
-        except BaseException as exc:
-            errors.append(exc)
-
-    th = threading.Thread(target=sampler, name="sma-sampler", daemon=True)
-    th.start()
-    try:
-        if lead:
-            time.sleep(lead)
+    with _sampler(provider, workload, clock, config.interval) as sampler:
+        clock.advance(lead)
         workload.run(clock)
-        if tail:
-            time.sleep(tail)
-    finally:
-        stop.set()
-        th.join()
-    if errors:
-        raise errors[0]
-    return PowerTrace(*_monotonic(times, powers))
-
-
-def _monotonic(times: list[float], powers: list[float]) -> tuple[list[float], list[float]]:
-    # Coarse wall clocks can repeat a timestamp between consecutive reads;
-    # drop readings that do not advance so trace invariants hold.
-    kept_t: list[float] = []
-    kept_p: list[float] = []
-    for t, p in zip(times, powers):
-        if not kept_t or t > kept_t[-1]:
-            kept_t.append(t)
-            kept_p.append(p)
-    return kept_t, kept_p
+        clock.advance(tail)
+    return PowerTrace(sampler.times, sampler.powers)
 
 
 def run_papi_style(
@@ -364,105 +427,20 @@ def run_mtsm(
     """
     clock = clock or VirtualClock()
     workload = workload.bind(provider)
-    if clock.is_virtual:
-        return _mtsm_virtual(provider, workload, clock, label)
-    return _mtsm_threaded(provider, workload, clock, label)
-
-
-def _mtsm_virtual(provider, workload, clock: VirtualClock, label) -> EnergyResult:
-    _require_duration(workload)
-    cost = clock.read_cost
-    flag_set = clock.now
-
-    first = _first_reading(provider, flag_set)
-    clock.advance(cost)
-
-    t_start = clock.now
-    workload.run(clock)
-    t_end = clock.now
-    elapsed = t_end - t_start
-
-    # Sampler grid continues from the handshake read; the flag clear is
-    # observed at the first grid point at or after workload completion, so
-    # that point is both the last sample and the clear time.
-    times = [flag_set]
-    while times[-1] < t_end:
-        times.append(flag_set + len(times) * cost)
-    flag_clear = times[-1]
-    powers = [first] + [provider.next_sample(t) for t in times[1:]]
-    clock.jump_to(max(flag_clear, clock.now))
-
-    energy = energy_from_readings(powers, elapsed)
-    trace = PowerTrace(times, powers, KernelWindow(flag_set, flag_clear))
-    return EnergyResult(
-        strategy=Strategy.MTSM,
-        energy=energy,
-        elapsed=elapsed,
-        n_samples=len(times),
-        trace=trace,
-        flag_timeline=(flag_set, flag_clear),
-        label=label or workload.label,
-    )
-
-
-def _mtsm_threaded(provider, workload, clock, label, startup_timeout=5.0) -> EnergyResult:
-    flag = threading.Event()
-    ready = threading.Event()
-    times: list[float] = []
-    powers: list[float] = []
-    errors: list[BaseException] = []
-
-    def sampler():
-        try:
-            flag.wait()
-            while flag.is_set():
-                t = clock.now
-                powers.append(provider.next_sample(t))
-                times.append(t)
-                if not ready.is_set():
-                    ready.set()
-        except BaseException as exc:
-            errors.append(exc)
-        finally:
-            ready.set()
-
-    th = threading.Thread(target=sampler, name="mtsm-sampler", daemon=True)
-    th.start()
-    flag_set = clock.now
-    flag.set()
-    ready.wait(timeout=startup_timeout)
-    if errors or not times:
-        flag.clear()
-        th.join()
-        if errors:
-            raise SamplerStartupFailure(
-                f"sampler failed before the workload started: {errors[0]}"
-            ) from errors[0]
-        raise SamplerStartupFailure("sampler produced no reading before startup timeout")
-
-    t_start = clock.now
-    try:
+    with _sampler(provider, workload, clock) as sampler:
+        t_start = clock.now
         workload.run(clock)
         t_end = clock.now
-    finally:
-        flag.clear()
-        th.join()
+    times, powers = sampler.times, sampler.powers
     elapsed = t_end - t_start
-    flag_clear = clock.now
-    if errors:
-        raise errors[0]
-
-    kept_t, kept_p = _monotonic(times, powers)
-    energy = energy_from_readings(kept_p, elapsed)
-    window = KernelWindow(kept_t[0], kept_t[-1]) if len(kept_t) > 1 else None
-    trace = PowerTrace(kept_t, kept_p, window)
+    window = KernelWindow(times[0], times[-1]) if len(times) > 1 else None
     return EnergyResult(
         strategy=Strategy.MTSM,
-        energy=energy,
+        energy=energy_from_readings(powers, elapsed),
         elapsed=elapsed,
-        n_samples=len(kept_t),
-        trace=trace,
-        flag_timeline=(flag_set, flag_clear),
+        n_samples=len(times),
+        trace=PowerTrace(times, powers, window),
+        flag_timeline=(sampler.flag_set, sampler.flag_clear),
         label=label or workload.label,
     )
 

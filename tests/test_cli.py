@@ -144,6 +144,16 @@ class TestMeasure:
         assert trace.window is None
         assert len(trace) == pytest.approx((0.2 + 0.502 + 0.2) / 0.015, abs=2)
 
+    def test_sma_stdout_bytes_equal_out_file(self, capsys, tmp_path):
+        model_path = write_model(tmp_path, kernel_duration=0.5, noise_stddev=200.0, rng_seed=4)
+        argv = ["measure", "--strategy", "sma", "--provider", f"synth:{model_path}",
+                "--lead", "0.2", "--tail", "0.2", "--interval", "0.015"]
+        out_path = tmp_path / "sma.csv"
+        assert run_cli(capsys, *argv, "--out", str(out_path))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
+
 
 class TestAnalyzeHw:
     CSV = (
@@ -167,6 +177,14 @@ class TestAnalyzeHw:
         trace = load_trace(out_path)
         assert len(trace) == 2001
         assert np.allclose(trace.powers, 135_300.0)
+
+    def test_trace_stdout_bytes_equal_out_file(self, capsys, capture_path, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        argv = ["analyze-hw", "--capture", str(capture_path)]
+        assert run_cli(capsys, *argv, "--out", str(out_path))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
 
     def test_energy_output(self, capsys, capture_path, tmp_path):
         out_path = tmp_path / "energy.json"

@@ -8,6 +8,8 @@ accepts, with the arrays it loads, and fuzz that whatever the numpy pass
 accepts the scan accepts too, with identical arrays.
 """
 
+import io
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,30 @@ def test_capture_loads(name):
     expected = np.array(rows, dtype=np.float64).reshape(len(times), 6)
     got = np.column_stack([capture.channels[k] for k in capture.channels]).reshape(len(times), 6)
     assert got.tolist() == expected.tolist()
+
+
+NO_HEADER = (MalformedTrace, "line 1: expected header 't_s,power_mw', got ''", 1)
+
+
+def _load_outcome(source):
+    try:
+        trace = load_trace(source)
+    except MalformedTrace as exc:
+        return type(exc), str(exc), exc.line
+    return trace.times.tolist(), trace.powers.tolist()
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("\r\n", NO_HEADER),
+    ("\r\n\r\n", NO_HEADER),
+    ("t_s,power_mw\r\n", ([], [])),
+], ids=["crlf", "two crlf", "crlf header only"])
+def test_line_ends_report_alike_from_every_source(text, outcome, tmp_path):
+    data = text.encode()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    sources = [path, data, io.BytesIO(data), io.StringIO(text)]
+    assert [_load_outcome(s) for s in sources] == [outcome] * 4
 
 
 # characters a mutation inserts or substitutes: number syntax, separators

@@ -9,6 +9,7 @@ import pytest
 from instrujoule import (
     EmptyWindow,
     KernelWindow,
+    MalformedTrace,
     PowerTrace,
     ZeroInstructions,
     energy_from_readings,
@@ -165,6 +166,11 @@ class TestEnergyFromReadings:
     def test_no_readings(self):
         with pytest.raises(EmptyWindow):
             energy_from_readings([], 1.0)
+
+    @pytest.mark.parametrize("bad", [[1.0, math.nan], [1.0, math.inf], [-math.inf, 2.0]])
+    def test_nonfinite_reading_rejected(self, bad):
+        with pytest.raises(MalformedTrace, match="non-finite power reading"):
+            energy_from_readings(bad, 1.0)
 
     def test_fsum_kicks_in(self):
         n = 1_000_001

@@ -263,20 +263,97 @@ class TestThreadedMode:
         assert np.all(trace.powers == 250.0)
 
     def test_threaded_startup_failure(self):
-        class Broken:
-            def next_sample(self, t):
-                raise RuntimeError("sensor fell off")
-
         with pytest.raises(SamplerStartupFailure):
-            run_mtsm(Broken(), CallableWorkload(lambda: time.sleep(0.01)), clock=RealClock())
+            run_mtsm(DeadSensor(), CallableWorkload(lambda: time.sleep(0.01)), clock=RealClock())
 
-    def test_raising_workload_stops_the_sampler(self):
+    def test_sma_startup_failure_on_dead_provider(self):
+        with pytest.raises(SamplerStartupFailure):
+            run_threaded("sma", DeadSensor(), CallableWorkload(lambda: time.sleep(0.01)))
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_raising_workload_stops_the_sampler(self, strategy):
         def boom():
             time.sleep(0.01)
             raise RuntimeError("kernel fault")
 
         provider = ConstantPowerProvider(100.0)
         with pytest.raises(RuntimeError, match="kernel fault"):
-            run_mtsm(provider, CallableWorkload(boom), clock=RealClock())
-        alive = [th for th in threading.enumerate() if th.name == "mtsm-sampler"]
-        assert alive == []
+            run_threaded(strategy, provider, CallableWorkload(boom))
+        assert sampler_threads() == []
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_midrun_provider_error_propagates(self, strategy):
+        class SensorFault(Exception):
+            pass
+
+        class FailsOnThirdRead:
+            reads = 0
+
+            def next_sample(self, t):
+                self.reads += 1
+                if self.reads == 3:
+                    raise SensorFault("read 3 failed")
+                return 100.0
+
+        with pytest.raises(SensorFault, match="read 3 failed"):
+            run_threaded(strategy, FailsOnThirdRead(), CallableWorkload(lambda: time.sleep(0.03)))
+        assert sampler_threads() == []
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_coarse_clock_yields_strictly_increasing_trace(self, strategy):
+        class CoarseClock(RealClock):
+            @property
+            def now(self):
+                return round(super().now, 4)  # 0.1 ms ticks
+
+        class Counting:
+            reads = 0
+
+            def next_sample(self, t):
+                self.reads += 1
+                return 100.0
+
+        provider = Counting()
+        out = run_threaded(strategy, provider, CallableWorkload(lambda: time.sleep(0.02)), CoarseClock())
+        trace = out if strategy == "sma" else out.trace
+        assert len(trace) >= 1
+        assert np.all(np.diff(trace.times) > 0)
+        if strategy == "mtsm":
+            # back-to-back reads repeat 0.1 ms timestamps; the repeats are dropped
+            assert out.n_samples == len(trace) < provider.reads
+
+
+class DeadSensor:
+    def next_sample(self, t):
+        raise RuntimeError("sensor fell off")
+
+
+def sampler_threads():
+    return [th.name for th in threading.enumerate() if th.name.endswith("-sampler")]
+
+
+def run_threaded(strategy, provider, workload, clock=None):
+    clock = clock or RealClock()
+    if strategy == "sma":
+        return run_sma(
+            provider, workload, SamplerConfig.fixed_interval(0.001),
+            lead=0.005, tail=0.005, clock=clock,
+        )
+    return run_mtsm(provider, workload, clock=clock)
+
+
+def test_monotonic_filter_matches_the_loop():
+    from instrujoule.monitor import _monotonic
+
+    rng = np.random.default_rng(5)
+    steps = rng.choice([-2e-4, 0.0, 1e-4, 3e-4], size=20_000, p=[0.1, 0.3, 0.4, 0.2])
+    times = np.round(np.cumsum(steps), 4).tolist()
+    powers = rng.uniform(0.0, 1e3, size=len(times)).tolist()
+    kept_t, kept_p = [], []
+    for t, p in zip(times, powers):  # reference: keep a reading that advances time
+        if not kept_t or t > kept_t[-1]:
+            kept_t.append(t)
+            kept_p.append(p)
+    got_t, got_p = _monotonic(times, powers)
+    assert (got_t.tolist(), got_p.tolist()) == (kept_t, kept_p)
+    assert [a.size for a in _monotonic([], [])] == [0, 0]
