@@ -55,6 +55,7 @@ from .errors import (
     MissingShunt,
     ParseFailure,
     ProviderExhausted,
+    SamplerStalled,
     SamplerStartupFailure,
     SensorUnavailable,
     UnsupportedInstruction,

@@ -2,18 +2,27 @@
 
 Both formats: ``#`` comments, a header, then rows of ``%.9g`` floats; callers
 own their comments, header, width and row rule. Neither direction holds a
-whole-file copy of the text. Writes stream in chunks of 8192 rows. Reads take
-the source's bytes once and parse the body in place with one ``np.loadtxt``
-pass, checked on the arrays; the bytes are freed before the arrays are copied
-into columns, so peak memory is about the file size plus the parsed arrays, or
-twice the arrays if that is more (at most the file size plus twice the
-arrays). On any failure a line-by-line scan accepts exactly what ``float()``
-accepts and reports the offending line.
+whole-file copy of the text. Writes stream in chunks of 8192 rows. A chunk of
+at least 384 values is formatted by one numpy pass that writes exactly the
+bytes of ``'%.9g' % value``: a value whose nine-digit rounding is certain and
+prints in fixed notation gets its digits from integer arithmetic and a
+4-digit table, and a row holding any other value (exponent notation,
+non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9) is
+formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
+than a quarter of the rows hold such a value, are formatted by ``%`` alone.
+
+Reads take the source's bytes once and parse the body in place with one
+``np.loadtxt`` pass, checked on the arrays; the bytes are freed before the
+arrays are copied into columns, so peak memory is about the file size plus
+the parsed arrays, or twice the arrays if that is more (at most the file size
+plus twice the arrays). On any failure a line-by-line scan accepts exactly
+what ``float()`` accepts and reports the offending line.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 from pathlib import Path
@@ -21,18 +30,118 @@ from pathlib import Path
 import numpy as np
 
 _CHUNK = 8192  # rows formatted and written per batch, bounding the text alive at once
+# Chunks of fewer values are formatted value by value: the vector pass costs
+# 60-80 us a chunk whatever its size, which it wins back only from about 400
+# values on (2 and 7 columns alike, on a 2-vCPU x86-64 host).
+_VECTOR_MIN = 384
 # ASCII that str.splitlines() breaks lines on besides "\n", or that
 # np.loadtxt strips from a field and float() does not
 _NOT_PLAIN = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _NOT_NEWLINE = re.compile(rb"[^\n]")
 
+# 0000..9999 as four ASCII digits in one word, and the trailing zeros of each (4 for 0000)
+_DIGITS4 = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
+_DIGITS4 = np.ascontiguousarray(_DIGITS4).view(np.uint32).reshape(-1)
+_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5))
+_POW10 = 10.0 ** np.arange(13)  # exact doubles
+_IPOW10 = 10 ** np.arange(13, dtype=np.int64)
+_DOT = np.frombuffer(b".\0\0\0", np.uint32)[0]
 
-def _chunks(head: list[str], columns):
-    fmt = ",".join(["%.9g"] * len(columns))
-    yield "\n".join(head) + "\n"
+
+def _field_masks() -> np.ndarray:
+    # A value's 32-byte field: bytes 0-11 the integer part right-aligned (at
+    # most nine digits, from byte 3; a sign overwrites the byte before the
+    # first digit shown), 12 the point, 16-27 twelve fraction digits, 31 the
+    # separator. Row [start * 13 + fd] keeps bytes start..11, the point and
+    # fd fraction digits when fd > 0, and the separator; start 0 keeps none.
+    start, fd, byte = np.ogrid[:12, :13, :32]
+    keep = (
+        (byte >= start) & (byte < 12)
+        | (byte == 12) & (fd > 0)
+        | (byte >= 16) & (byte < 16 + fd)
+        | (byte == 31)
+    )
+    return (keep & (start > 0)).reshape(-1).view("V32")
+
+
+_FIELD_MASKS = _field_masks()
+
+
+def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
+    """``block``'s rows as ``fmt % row`` lines, each ended by "\n"."""
+    rows, k = block.shape
+    x = block.reshape(-1)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(a))
+        fixed = (e >= -4) & (e <= 8)  # %.9g prints 10**e <= a < 10**9 in fixed notation
+        e = np.where(fixed, e, 0).astype(np.int64)
+        # a * 10**(8-e) in one rounding; off from the exact product by < 6e-8, so
+        # a margin of 1e-6 from the tie leaves rint with the exact rounding
+        m = a * _POW10[8 - e]
+        r = np.rint(m)
+        ok = fixed & (r >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6) | (a == 0)
+    row_ok = ok.reshape(rows, k).all(axis=1)
+    if 4 * np.count_nonzero(row_ok) < 3 * rows:
+        # splicing in this many rows costs more than the rest of the pass
+        # saves (break-even at 30-50% of the rows, for 7 down to 1 columns)
+        return _format_each(block.T, fmt)
+    # the nine digits r, split at the point into an integer part and twelve fraction digits
+    r = np.where(ok, r, 0).astype(np.int64)
+    d = 8 - e
+    scale = _IPOW10[d]
+    whole = r // scale
+    frac = (r - whole * scale) * _IPOW10[12 - d]
+    f0, f1, f2 = frac // 100_000_000, frac // 10_000 % 10_000, frac % 10_000
+    words = np.empty((x.size, 8), dtype=np.uint32)
+    words[:, 0] = _DIGITS4[whole // 100_000_000]
+    words[:, 1] = _DIGITS4[whole // 10_000 % 10_000]
+    words[:, 2] = _DIGITS4[whole % 10_000]
+    words[:, 3] = _DOT
+    words[:, 4] = _DIGITS4[f0]
+    words[:, 5] = _DIGITS4[f1]
+    words[:, 6] = _DIGITS4[f2]
+    seps = ("\0\0\0" + delimiter) * (k - 1) + "\0\0\0\n"
+    words.reshape(rows, k, 8)[:, :, 7] = np.frombuffer(seps.encode("ascii"), np.uint32)
+    # fraction digits left once %g strips trailing zeros
+    tz = _TRAILING_ZEROS4
+    fd = 12 - tz[f2] - (f2 == 0) * (tz[f1] + (f1 == 0) * tz[f0])
+    neg = np.signbit(x)
+    start = 11 - np.maximum(e, 0) - neg
+    if neg.any():
+        at = np.flatnonzero(neg)
+        words.view(np.uint8).reshape(-1)[at * 32 + start[at]] = ord("-")
+    start.reshape(rows, k)[~row_ok] = 0
+    keep = _FIELD_MASKS[start * 13 + fd].view(bool)
+    text = words.view(np.uint8).reshape(-1)[keep].tobytes().decode("ascii")
+    if row_ok.all():
+        return text
+    bad = np.flatnonzero(~row_ok)
+    lengths = np.where(start > 0, 13 - start + (fd > 0) + fd, 0)
+    offsets = (np.cumsum(lengths) - lengths)[bad * k].tolist()
+    pieces, done = [], 0
+    for at, row in zip(offsets, block[bad].tolist()):
+        pieces += [text[done:at], fmt % tuple(row), "\n"]
+        done = at
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def _format_each(columns, fmt: str) -> str:
+    return "\n".join([fmt % row for row in zip(*(c.tolist() for c in columns))]) + "\n"
+
+
+def format_rows(columns, delimiter: str = ","):
+    """Yield one text chunk per 8192 rows of ``columns``: each row's values
+    as ``%.9g``, joined by ``delimiter`` (one ASCII character) and ended by
+    "\n"."""
+    fmt = delimiter.join(["%.9g"] * len(columns))
     for i in range(0, len(columns[0]), _CHUNK):
-        rows = zip(*(c[i:i + _CHUNK].tolist() for c in columns))
-        yield "\n".join([fmt % row for row in rows]) + "\n"
+        chunk = [c[i:i + _CHUNK] for c in columns]
+        if len(chunk[0]) * len(chunk) < _VECTOR_MIN:
+            yield _format_each(chunk, fmt)
+        else:
+            yield _format_block(np.stack(chunk, axis=1, dtype=np.float64), fmt, delimiter)
 
 
 def write(sink, head: list[str], columns) -> None:
@@ -43,7 +152,7 @@ def write(sink, head: list[str], columns) -> None:
             write(f, head, columns)
         return
     text = hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase)
-    for chunk in _chunks(head, columns):
+    for chunk in itertools.chain(["\n".join(head) + "\n"], format_rows(columns)):
         sink.write(chunk if text else chunk.encode("utf-8"))
 
 

@@ -51,6 +51,10 @@ class SamplerStartupFailure(InstrujouleError):
     """Background sampler failed to take a reading before the workload started."""
 
 
+class SamplerStalled(InstrujouleError):
+    """Background sampler was still inside a provider read when its join timed out."""
+
+
 class EmptyWindow(InstrujouleError):
     """No trace samples fall inside the integration window."""
 

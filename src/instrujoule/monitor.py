@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .energy import InstructionEnergy, energy_from_readings, instruction_energy
-from .errors import SamplerStartupFailure
+from .errors import SamplerStalled, SamplerStartupFailure
 from .providers import PowerProvider
 from .trace import KernelWindow, PowerTrace
 
@@ -281,10 +281,13 @@ class _ThreadedSampler:
     Entering starts the thread, sets the flag and returns after the first
     reading (SamplerStartupFailure if none comes). Exiting stops and joins
     the thread, even when the block raised; if the block did not, it then
-    raises the sampler's error.
+    raises the sampler's error. A thread still inside a provider read
+    ``stop_timeout`` seconds after the stop raises SamplerStalled, chained to
+    the block's error if there is one, and is left to finish as a daemon.
     """
 
     startup_timeout = 5.0
+    stop_timeout = 5.0
 
     def __init__(self, provider, clock, interval):
         self.provider, self.clock, self.interval = provider, clock, interval
@@ -314,9 +317,13 @@ class _ThreadedSampler:
         finally:
             ready.set()
 
-    def _join(self) -> None:
+    def _join(self, exc: BaseException | None = None) -> None:
         self._stop.set()
-        self._thread.join()
+        self._thread.join(timeout=self.stop_timeout)
+        if self._thread.is_alive():
+            raise SamplerStalled(
+                f"provider read still running {self.stop_timeout:g} s after the sampler was stopped"
+            ) from exc
         # read before filtering: the flag span covers the sampling, not the filter
         self.flag_clear = self.clock.now
 
@@ -336,7 +343,7 @@ class _ThreadedSampler:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._join()
+        self._join(exc)
         if self._errors and exc_type is None:
             raise self._errors[0]
         self.times, self.powers = _monotonic(self.times, self.powers)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import _csv
 from .catalog import CATEGORY_ORDER, Category, InstructionSpec
 from .errors import FixtureCorrupt
 from .trace import PowerTrace
@@ -242,8 +243,7 @@ def emit_plot_data(trace: PowerTrace) -> str:
     """
     lines = []
     if trace.window is not None:
-        lines.append("# window-start %.9g" % trace.window.start)
-        lines.append("# window-end %.9g" % trace.window.end)
-    for t, p in zip(trace.times, trace.powers):
-        lines.append("%.9g %.9g" % (t, p))
-    return "\n".join(lines) + "\n"
+        lines.append("# window-start %.9g\n" % trace.window.start)
+        lines.append("# window-end %.9g\n" % trace.window.end)
+    lines += _csv.format_rows([trace.times, trace.powers], " ")
+    return "".join(lines) or "\n"

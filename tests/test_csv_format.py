@@ -1,0 +1,88 @@
+"""The CSV row formatter against ``'%.9g' % v``, value by value.
+
+Each class holds 200k seeded values, written as rows of seven columns so the
+vector pass sees whole 8192-row chunks as well as a short last one. The
+near-tie and power-of-ten classes sit where a scaled product could round
+the other way than the exact value, or where ``%.9g`` switches between
+fixed and exponent notation; the sprinkled class mixes such values into
+rows the vector pass formats.
+"""
+
+import numpy as np
+import pytest
+
+from instrujoule import _csv
+
+WIDTH = 7
+N = 28_572 * WIDTH  # at least 200k values
+LAST_SMALL = (_csv._VECTOR_MIN - 1) // WIDTH  # the most rows of seven formatted value by value
+
+
+def _near_ties(rng) -> np.ndarray:
+    # (r + 0.5) * 10**(e - 8): a tie at the ninth digit, moved by -4..4 ulps
+    r = rng.integers(100_000_000, 1_000_000_000, N)
+    e = rng.integers(-4, 9, N)
+    values = (r + 0.5) * 10.0 ** (e - 8)
+    steps = rng.integers(-4, 5, N)
+    for _ in range(4):
+        values = np.where(steps > 0, np.nextafter(values, np.inf), values)
+        values = np.where(steps < 0, np.nextafter(values, 0.0), values)
+        steps -= np.sign(steps)
+    return values
+
+
+def _around_powers_of_ten(rng) -> np.ndarray:
+    powers = 10.0 ** np.arange(-6, 11)
+    below = np.nextafter(powers, 0.0)
+    near = np.concatenate([powers, below, np.nextafter(below, 0.0), np.nextafter(powers, np.inf)])
+    return rng.choice([-1.0, 1.0], N) * np.resize(near, N)
+
+
+EDGES = [
+    0.0, -0.0, 9.9999999995, 999999999.5, 1e9, 1e-4, 9.99999999e-05, 123456789.5,
+    5e-324, np.finfo(np.float64).max, 0.5, 2.5, 99999.99995, np.nan, np.inf, -np.inf,
+]
+
+
+def _sprinkled(rng) -> np.ndarray:
+    # fixed-notation values with one in a hundred swapped for an edge value
+    # or a near-tie, so most rows take the vector pass and the rest are spliced in
+    values = np.round(rng.uniform(0.0, 12.5, N), 6)
+    swap = rng.random(N) < 0.01
+    values[swap] = rng.choice(np.concatenate([EDGES, _near_ties(rng)[:100]]), swap.sum())
+    return values
+
+
+CLASSES = {
+    "uniform": lambda rng: rng.uniform(-1e6, 1e6, N),
+    "log-uniform": lambda rng: rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-12, 12, N),
+    "quantized": lambda rng: np.round(rng.uniform(0.0, 12.5, N), 6),
+    "time-grid": lambda rng: np.arange(N) / 5000,
+    "bit-patterns": lambda rng: rng.integers(0, 2**64, N, dtype=np.uint64).view(np.float64),
+    "near-ties": _near_ties,
+    "powers-of-ten": _around_powers_of_ten,
+    "edges": lambda rng: rng.permutation(np.resize(np.array(EDGES), N)),
+    "sprinkled": _sprinkled,
+}
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_rows_match_printf(name):
+    values = CLASSES[name](np.random.default_rng(list(CLASSES).index(name)))
+    columns = list(values.reshape(-1, WIDTH).T.copy())
+    texts = ["%.9g" % v for v in values.tolist()]
+    expected = "".join(",".join(texts[i:i + WIDTH]) + "\n" for i in range(0, N, WIDTH))
+    got = "".join(_csv.format_rows(columns))
+    if got != expected:
+        wrong = [(g, e) for g, e in zip(got.splitlines(), expected.splitlines()) if g != e]
+        pytest.fail(f"{len(wrong)} rows differ, first {wrong[:3]}")
+
+
+@pytest.mark.parametrize("rows", [1, LAST_SMALL, LAST_SMALL + 1, 8192, 8193])
+def test_chunk_sizes_and_delimiter(rows):
+    rng = np.random.default_rng(rows)
+    columns = [np.arange(rows) * 2e-4] + [rng.uniform(-5.0, 5.0, rows) for _ in range(WIDTH - 1)]
+    expected = "".join(
+        " ".join("%.9g" % v for v in row) + "\n" for row in zip(*(c.tolist() for c in columns))
+    )
+    assert "".join(_csv.format_rows(columns, " ")) == expected

@@ -3,16 +3,18 @@
 tracemalloc traces numpy's buffers as well as Python objects. Loading parses
 the file's bytes in place, so its peak is at most the file size plus twice
 the parsed arrays; a whole-file text copy would break the bound. Saving
-formats and writes one chunk of rows at a time, so its peak is set by the
-chunk size, not by the row count.
+formats and writes one chunk of rows at a time, numpy temporaries included,
+so its peak is set by the chunk size, not by the row count, for captures and
+traces alike.
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from instrujoule import HwCapture, load_hw_capture, save_hw_capture
+from instrujoule import HwCapture, PowerTrace, load_hw_capture, save_hw_capture, save_trace
 
 CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
 ROWS = 50_000
@@ -22,6 +24,11 @@ def _capture(n: int) -> HwCapture:
     rng = np.random.default_rng(31)
     channels = {name: np.round(rng.uniform(0.0, 12.5, n), 6) for name in CHANNELS}
     return HwCapture(np.arange(n) * 2e-4, channels, 0.01)
+
+
+def _trace(n: int) -> PowerTrace:
+    rng = np.random.default_rng(37)
+    return PowerTrace(np.arange(n) * 2e-4, np.round(rng.uniform(0.0, 60_000.0, n), 4))
 
 
 def _peak(fn) -> int:
@@ -42,8 +49,10 @@ def test_load_peak_is_bounded_by_the_arrays(tmp_path):
     assert peak <= 4 * array_bytes, f"{peak / array_bytes:.2f}x the parsed arrays"
 
 
-def test_save_peak_does_not_grow_with_rows(tmp_path):
-    small, large = _capture(2 * 8192), _capture(ROWS)
-    small_peak = _peak(lambda: save_hw_capture(small, tmp_path / "small.csv"))
-    large_peak = _peak(lambda: save_hw_capture(large, tmp_path / "large.csv"))
+@pytest.mark.parametrize("kind", ["capture", "trace"])
+def test_save_peak_does_not_grow_with_rows(kind, tmp_path):
+    make, save = {"capture": (_capture, save_hw_capture), "trace": (_trace, save_trace)}[kind]
+    small, large = make(2 * 8192), make(ROWS)
+    small_peak = _peak(lambda: save(small, tmp_path / "small.csv"))
+    large_peak = _peak(lambda: save(large, tmp_path / "large.csv"))
     assert large_peak <= 1.25 * small_peak, (small_peak, large_peak)

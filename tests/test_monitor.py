@@ -15,6 +15,7 @@ from instrujoule import (
     RealClock,
     ReplayProvider,
     SamplerConfig,
+    SamplerStalled,
     SamplerStartupFailure,
     Strategy,
     SyntheticDeviceProvider,
@@ -297,6 +298,42 @@ class TestThreadedMode:
 
         with pytest.raises(SensorFault, match="read 3 failed"):
             run_threaded(strategy, FailsOnThirdRead(), CallableWorkload(lambda: time.sleep(0.03)))
+        assert sampler_threads() == []
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    @pytest.mark.parametrize("kernel_fault", [False, True])
+    def test_stalled_provider_raises_sampler_stalled(self, strategy, kernel_fault, monkeypatch):
+        from instrujoule.monitor import _ThreadedSampler
+
+        release = threading.Event()
+
+        class StallsAfterFirstRead:
+            reads = 0
+
+            def next_sample(self, t):
+                self.reads += 1
+                if self.reads > 1:
+                    release.wait()
+                return 100.0
+
+        def kernel():
+            time.sleep(0.01)
+            if kernel_fault:
+                raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(_ThreadedSampler, "stop_timeout", 0.2)
+        started = time.monotonic()
+        try:
+            with pytest.raises(SamplerStalled) as raised:
+                run_threaded(strategy, StallsAfterFirstRead(), CallableWorkload(kernel))
+            assert time.monotonic() - started < 2.0
+            cause = raised.value.__cause__
+            assert isinstance(cause, RuntimeError) if kernel_fault else cause is None
+        finally:
+            release.set()
+            for th in threading.enumerate():
+                if th.name.endswith("-sampler"):
+                    th.join(timeout=5.0)
         assert sampler_threads() == []
 
     @pytest.mark.parametrize("strategy", ["mtsm", "sma"])

@@ -3,6 +3,7 @@
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from instrujoule import (
@@ -196,6 +197,19 @@ class TestEmitPlotData:
         lines = emit_plot_data(trace).splitlines()
         assert len(lines) == 3
         assert not any(l.startswith("#") for l in lines)
+
+    def test_long_windowed_trace_matches_a_reference_join(self):
+        rng = np.random.default_rng(8)
+        times = np.arange(20_000) * 5e-4
+        powers = np.round(rng.uniform(0.0, 60_000.0, times.size), 4)
+        powers[::997] = 0.0
+        trace = PowerTrace(times, powers, KernelWindow(1.0025, 8.775))
+        lines = ["# window-start 1.0025", "# window-end 8.775"]
+        lines += ["%.9g %.9g" % (t, p) for t, p in zip(times.tolist(), powers.tolist())]
+        assert emit_plot_data(trace) == "\n".join(lines) + "\n"
+
+    def test_empty_trace_is_one_newline(self):
+        assert emit_plot_data(PowerTrace([], [])) == "\n"
 
     def test_mtsm_result_markers_equal_flag_timeline(self):
         result = run_mtsm(ConstantPowerProvider(10.0), TimedWorkload(0.1))
