@@ -81,6 +81,9 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
         m = a * _POW10[8 - e]
         r = np.rint(m)
         ok = fixed & (r >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6) | (a == 0)
+    # every array of the chunk is freed once spent: kept to the end, about 20
+    # of them nearly double the write's peak memory
+    del a, m, fixed
     row_ok = ok.reshape(rows, k).all(axis=1)
     if 4 * np.count_nonzero(row_ok) < 3 * rows:
         # splicing in this many rows costs more than the rest of the pass
@@ -88,15 +91,19 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
         return _format_each(block.T, fmt)
     # the nine digits r, split at the point into an integer part and twelve fraction digits
     r = np.where(ok, r, 0).astype(np.int64)
+    del ok
     d = 8 - e
     scale = _IPOW10[d]
     whole = r // scale
     frac = (r - whole * scale) * _IPOW10[12 - d]
+    del r, d, scale
     f0, f1, f2 = frac // 100_000_000, frac // 10_000 % 10_000, frac % 10_000
+    del frac
     words = np.empty((x.size, 8), dtype=np.uint32)
     words[:, 0] = _DIGITS4[whole // 100_000_000]
     words[:, 1] = _DIGITS4[whole // 10_000 % 10_000]
     words[:, 2] = _DIGITS4[whole % 10_000]
+    del whole
     words[:, 3] = _DOT
     words[:, 4] = _DIGITS4[f0]
     words[:, 5] = _DIGITS4[f1]
@@ -106,14 +113,18 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
     # fraction digits left once %g strips trailing zeros
     tz = _TRAILING_ZEROS4
     fd = 12 - tz[f2] - (f2 == 0) * (tz[f1] + (f1 == 0) * tz[f0])
+    del f0, f1, f2
     neg = np.signbit(x)
     start = 11 - np.maximum(e, 0) - neg
+    del e
     if neg.any():
         at = np.flatnonzero(neg)
         words.view(np.uint8).reshape(-1)[at * 32 + start[at]] = ord("-")
+    del neg
     start.reshape(rows, k)[~row_ok] = 0
     keep = _FIELD_MASKS[start * 13 + fd].view(bool)
     text = words.view(np.uint8).reshape(-1)[keep].tobytes().decode("ascii")
+    del words, keep
     if row_ok.all():
         return text
     bad = np.flatnonzero(~row_ok)

@@ -21,13 +21,18 @@ Three ways to turn a power provider plus a workload into data:
 Each strategy is one driver sequence run inside a sampler, and the clock
 picks the sampler. Under RealClock a thread reads ``clock.now`` and then
 ``provider.next_sample(t)`` until stopped: every ``interval`` seconds for
-SMA, back to back for MTSM. Under VirtualClock time advances only at
-provider reads (a configurable per-read cost, default 0.5 ms, i.e. a ~2 kHz
-effective sampling rate) and at workload boundaries, and the sampler reads
-its whole time grid in one pass once the block has run, which makes every
-run bit-reproducible. The flag-clear instant is defined as the sampler's
-first read at or after workload completion, so the flag interval coincides
-exactly with the recorded sample span.
+SMA, back to back for MTSM. While it runs, the interpreter's switch interval
+is lowered to 0.1 ms, so the timing thread reads the end of a kernel within
+about that much of its return instead of up to 5 ms late. Under
+VirtualClock time advances only at provider reads (a configurable per-read
+cost, default 0.5 ms, i.e. a ~2 kHz effective sampling rate) and at
+workload boundaries; once the block has run, the sampler builds its whole
+time grid in closed form and reads it with one
+``provider.sample_grid(times)`` call, which makes every run
+bit-reproducible. The MTSM handshake stays one ``next_sample``
+read at flag set, before the workload launches. The flag-clear instant is
+defined as the sampler's first read at or after workload completion, so the
+flag interval coincides exactly with the recorded sample span.
 
 Strategy runners are not reentrant per provider instance; create one
 provider (and one clock) per measurement.
@@ -35,6 +40,9 @@ provider (and one clock) per measurement.
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -230,7 +238,8 @@ def _sampler(provider: PowerProvider, workload: Workload, clock, interval: float
 
 class _VirtualSampler:
     """Reads its time grid after the block: once the workload has run under a
-    virtual clock, the provider is a pure function of time.
+    virtual clock, the provider is a pure function of time, and one
+    ``sample_grid`` call reads the whole grid.
 
     Fixed interval: ``t0 + k*interval`` up to the end of the block. Back to
     back: a handshake read at flag set, before the workload launches, then
@@ -240,50 +249,103 @@ class _VirtualSampler:
 
     def __init__(self, provider, clock: VirtualClock, interval):
         self.provider, self.clock, self.interval = provider, clock, interval
-        self.times: list[float] = []
-        self.powers: list[float] = []
 
     def __enter__(self):
         self.flag_set = self.clock.now
         if self.interval is None:  # the handshake read
             try:
-                self.powers.append(self.provider.next_sample(self.flag_set))
+                self._handshake = self.provider.next_sample(self.flag_set)
             except Exception as exc:
                 raise SamplerStartupFailure(
                     f"could not take a reading before the workload started: {exc}"
                 ) from exc
-            self.times.append(self.flag_set)
             self.clock.advance(self.clock.read_cost)
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is not None:
             return
-        t0, t_end, times = self.flag_set, self.clock.now, self.times
-        if self.interval is None:
-            step = self.clock.read_cost
-            while times[-1] < t_end:
-                times.append(t0 + len(times) * step)
-            self.clock.jump_to(times[-1])  # the clear is observed at the last read
+        back_to_back = self.interval is None
+        step = self.clock.read_cost if back_to_back else self.interval
+        self.times = _read_times(self.flag_set, step, self.clock.now, back_to_back)
+        if back_to_back:
+            grid = self.provider.sample_grid(self.times[1:])
+            self.powers = np.concatenate(([self._handshake], grid))
+            self.clock.jump_to(self.times[-1])  # the clear is observed at the last read
         else:
-            step = self.interval
-            while (t := t0 + len(times) * step) <= t_end + 1e-12:
-                times.append(t)
-        read = self.provider.next_sample
-        self.powers += [read(t) for t in times[len(self.powers):]]
-        self.flag_clear = times[-1]
+            self.powers = self.provider.sample_grid(self.times)
+        self.flag_clear = float(self.times[-1])
+
+
+def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.ndarray:
+    """The virtual sampler's read times ``t0 + k*step``, bit for bit as Python
+    computes them. Back to back: from k = 0 (the handshake) up to the first k
+    whose time is at or after ``t_end``. At a fixed interval: every k whose
+    time is at most ``t_end`` (plus 1e-12)."""
+    if back_to_back:
+        n = _first_k(t0, step, t_end, operator.ge)
+        return np.concatenate(([t0], t0 + np.arange(1, n + 1) * step))
+    return t0 + np.arange(_first_k(t0, step, t_end + 1e-12, operator.gt)) * step
+
+
+def _first_k(t0: float, step: float, bound: float, reached) -> int:
+    """The first k >= 0 with ``reached(t0 + k*step, bound)``."""
+    k = max(math.ceil((bound - t0) / step), 0)
+    # the estimate can miss by a rounding; t0 + k*step never decreases as k
+    # grows, so walking from it to the first k that holds is exact
+    while k > 0 and reached(t0 + (k - 1) * step, bound):
+        k -= 1
+    while not reached(t0 + k * step, bound):
+        k += 1
+    return k
+
+
+class _SwitchInterval:
+    """The interpreter's switch interval, lowered while any threaded sampler
+    runs.
+
+    A sampler reading back to back holds the interpreter lock, so the timing
+    thread, woken by the end of a kernel, waits up to one switch interval
+    (5 ms by default) before it can read the end time, and short kernels come
+    out that much longer. The interval is process-wide: the first sampler in
+    lowers it and the last one out restores the value the first one found.
+    """
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 0.0
+
+    def lower(self) -> None:
+        with self._lock:
+            if self._users == 0:
+                self._saved = sys.getswitchinterval()
+                sys.setswitchinterval(self.seconds)
+            self._users += 1
+
+    def restore(self) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                sys.setswitchinterval(self._saved)
+
+
+_SWITCH_INTERVAL = _SwitchInterval(1e-4)
 
 
 class _ThreadedSampler:
     """A thread that reads ``clock.now`` and then the provider until stopped,
     waiting ``interval`` seconds between reads when one is given.
 
-    Entering starts the thread, sets the flag and returns after the first
-    reading (SamplerStartupFailure if none comes). Exiting stops and joins
-    the thread, even when the block raised; if the block did not, it then
-    raises the sampler's error. A thread still inside a provider read
+    Entering lowers the interpreter's switch interval to 0.1 ms (see
+    ``_SwitchInterval``), starts the thread, sets the flag and returns after
+    the first reading (SamplerStartupFailure if none comes). Exiting stops
+    and joins the thread, even when the block raised; if the block did not,
+    it then raises the sampler's error. A thread still inside a provider read
     ``stop_timeout`` seconds after the stop raises SamplerStalled, chained to
     the block's error if there is one, and is left to finish as a daemon.
+    The switch interval is restored on every way out.
     """
 
     startup_timeout = 5.0
@@ -328,6 +390,15 @@ class _ThreadedSampler:
         self.flag_clear = self.clock.now
 
     def __enter__(self):
+        _SWITCH_INTERVAL.lower()
+        try:
+            self._start()
+        except BaseException:
+            _SWITCH_INTERVAL.restore()
+            raise
+        return self
+
+    def _start(self):
         self._thread.start()
         # read once the thread is up, so its start-up is not in the handshake
         self.flag_set = self.clock.now
@@ -340,10 +411,12 @@ class _ThreadedSampler:
                     f"sampler failed before the workload started: {self._errors[0]}"
                 ) from self._errors[0]
             raise SamplerStartupFailure("sampler produced no reading before startup timeout")
-        return self
 
     def __exit__(self, exc_type, exc, tb):
-        self._join(exc)
+        try:
+            self._join(exc)
+        finally:
+            _SWITCH_INTERVAL.restore()
         if self._errors and exc_type is None:
             raise self._errors[0]
         self.times, self.powers = _monotonic(self.times, self.powers)
@@ -440,7 +513,7 @@ def run_mtsm(
         t_end = clock.now
     times, powers = sampler.times, sampler.powers
     elapsed = t_end - t_start
-    window = KernelWindow(times[0], times[-1]) if len(times) > 1 else None
+    window = KernelWindow(float(times[0]), float(times[-1])) if len(times) > 1 else None
     return EnergyResult(
         strategy=Strategy.MTSM,
         energy=energy_from_readings(powers, elapsed),

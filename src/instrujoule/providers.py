@@ -2,16 +2,22 @@
 
 A provider answers one question: what is the instantaneous board power at
 time ``t``? ``next_sample(t)`` returns that power in mW. The caller owns the
-clock and passes its reading; providers never see a clock. Three
-implementations ship with the toolkit:
+clock and passes its reading; providers never see a clock. Virtual runs read
+their whole time grid at once through ``sample_grid(times)``, whose default
+reads the times one by one with ``next_sample``, in order; a provider
+overrides it only when it can answer a whole grid faster with the same
+results. Three implementations ship with the toolkit:
 
 * ReplayProvider      plays back a recorded trace, step-hold interpolated
                       (each reading holds until the next), because sensors
-                      report instantaneous values, not averages;
-* ConstantPowerProvider  fixed power, handy for exact-arithmetic tests;
+                      report instantaneous values, not averages; a grid is
+                      one ``searchsorted``;
+* ConstantPowerProvider  fixed power, handy for exact-arithmetic tests; a
+                      grid is one ``np.full``;
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
-                      profile, then plateau / ramp / stepped decay.
+                      profile, then plateau / ramp / stepped decay. It
+                      reads a grid time by time.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -36,6 +42,12 @@ class PowerProvider:
     def next_sample(self, t: float) -> float:
         raise NotImplementedError
 
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
+        """The power (mW) at every time of ``times``, read in order: what
+        ``next_sample`` returns, or raises, time by time."""
+        read = self.next_sample
+        return np.array([read(t) for t in np.asarray(times).tolist()], dtype=np.float64)
+
 
 class ReplayProvider(PowerProvider):
     """Replays a recorded trace with step-hold (last sample holds) semantics."""
@@ -54,6 +66,16 @@ class ReplayProvider(PowerProvider):
         idx = int(np.searchsorted(times, t, side="right")) - 1
         return float(self._trace.powers[idx])
 
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=np.float64)
+        trace_times = self._trace.times
+        if times.size:
+            # raise what the first time outside the trace raises time by time
+            outside = (times < trace_times[0]) | (times > trace_times[-1]) if trace_times.size else True
+            if np.any(outside):
+                self.next_sample(float(times[np.argmax(outside)]))
+        return self._trace.powers[np.searchsorted(trace_times, times, side="right") - 1]
+
 
 class ConstantPowerProvider(PowerProvider):
     def __init__(self, power_mw: float):
@@ -63,6 +85,9 @@ class ConstantPowerProvider(PowerProvider):
 
     def next_sample(self, t: float) -> float:
         return self.power_mw
+
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.power_mw)
 
 
 class SyntheticDeviceProvider(PowerProvider):

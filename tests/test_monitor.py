@@ -1,5 +1,6 @@
 """Measurement strategies under the virtual clock, plus threaded smoke tests."""
 
+import sys
 import threading
 import time
 
@@ -173,6 +174,103 @@ class TestRunMtsm:
         assert result.n_samples == pytest.approx(1000, abs=3)
 
 
+def loop_read_times(t0, step, t_end, back_to_back):
+    """The virtual sampler's grid as its reference loops define it."""
+    if back_to_back:
+        times = [t0]
+        while times[-1] < t_end:
+            times.append(t0 + len(times) * step)
+        return times
+    times = []
+    while (t := t0 + len(times) * step) <= t_end + 1e-12:
+        times.append(t)
+    return times
+
+
+class RecordingProvider(ConstantPowerProvider):
+    def __init__(self):
+        super().__init__(5.0)
+        self.calls = []
+
+    def next_sample(self, t):
+        self.calls.append(("next_sample", t))
+        return super().next_sample(t)
+
+    def sample_grid(self, times):
+        self.calls.append(("sample_grid", len(times)))
+        return super().sample_grid(times)
+
+
+class TestVirtualGrid:
+    def test_closed_form_matches_the_loops(self):
+        from instrujoule.monitor import _read_times
+
+        rng = np.random.default_rng(2027)
+        checked = 0
+        for _ in range(250):
+            t0 = float(rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)]))
+            step = float(10.0 ** rng.uniform(-5.0, -1.0))
+            k = int(rng.integers(0, 300))
+            on_grid = t0 + k * step
+            ends = [t0 + float(rng.uniform(-2.0, 300.0)) * step, t0]
+            # on a grid point and one ulp either side, for both loops' bounds
+            for point in (on_grid, on_grid - 1e-12):
+                ends += [point, np.nextafter(point, -np.inf), np.nextafter(point, np.inf)]
+            for t_end in ends:
+                for back_to_back in (True, False):
+                    want = loop_read_times(t0, step, float(t_end), back_to_back)
+                    got = _read_times(t0, step, float(t_end), back_to_back)
+                    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), (
+                        t0, step, float(t_end), back_to_back,
+                    )
+                    checked += 1
+        assert checked == 250 * 8 * 2
+
+    def test_mtsm_reads_the_handshake_then_one_grid(self):
+        provider = RecordingProvider()
+        result = run_mtsm(provider, TimedWorkload(0.05), clock=VirtualClock(start=3.0))
+        assert provider.calls == [("next_sample", 3.0), ("sample_grid", result.n_samples - 1)]
+
+    def test_sma_reads_one_grid(self):
+        provider = RecordingProvider()
+        trace = run_sma(provider, TimedWorkload(0.05), lead=0.01, tail=0.01)
+        assert provider.calls == [("sample_grid", len(trace))]
+
+
+class TestResultFieldsArePythonFloats:
+    """Results hold Python floats, never numpy scalars, whose repr differs."""
+
+    def check(self, result):
+        assert type(result.energy) is float
+        assert type(result.elapsed) is float
+        assert [type(v) for v in result.flag_timeline] == [float, float]
+        if result.trace.window is not None:
+            window = result.trace.window
+            assert [type(window.start), type(window.end)] == [float, float]
+
+    def test_virtual_mtsm(self):
+        model = SyntheticModel(noise_stddev=300.0, rng_seed=4, kernel_duration=0.05)
+        result = synth_run(model, run_mtsm)
+        assert result.trace.window is not None
+        self.check(result)
+        replayed = run_mtsm(ReplayProvider(result.trace), TimedWorkload(0.02), clock=VirtualClock())
+        self.check(replayed)
+
+    def test_threaded_mtsm(self):
+        result = run_mtsm(
+            ConstantPowerProvider(100.0), CallableWorkload(lambda: time.sleep(0.01)), clock=RealClock()
+        )
+        self.check(result)
+
+    def test_papi_and_extraction(self):
+        self.check(run_papi_style(ConstantPowerProvider(10.0), TimedWorkload(0.1)))
+        ie = measure_instruction(
+            lambda: ConstantPowerProvider(100.0), TimedWorkload(0.2), TimedWorkload(0.1), 10, Strategy.MTSM
+        )
+        assert [type(ie.energy_per_instruction), type(ie.e_total), type(ie.e_overhead)] == [float] * 3
+        self.check(ie.total_result)
+
+
 class TestConstantAgreement:
     def test_all_strategies_same_windowed_mean_power(self):
         # constant provider: all three strategies see the same mean power
@@ -322,11 +420,13 @@ class TestThreadedMode:
                 raise RuntimeError("kernel fault")
 
         monkeypatch.setattr(_ThreadedSampler, "stop_timeout", 0.2)
+        before = sys.getswitchinterval()
         started = time.monotonic()
         try:
             with pytest.raises(SamplerStalled) as raised:
                 run_threaded(strategy, StallsAfterFirstRead(), CallableWorkload(kernel))
             assert time.monotonic() - started < 2.0
+            assert sys.getswitchinterval() == before
             cause = raised.value.__cause__
             assert isinstance(cause, RuntimeError) if kernel_fault else cause is None
         finally:
@@ -358,6 +458,76 @@ class TestThreadedMode:
         if strategy == "mtsm":
             # back-to-back reads repeat 0.1 ms timestamps; the repeats are dropped
             assert out.n_samples == len(trace) < provider.reads
+
+
+class TestSwitchInterval:
+    """Threaded samplers lower the interpreter's switch interval while they
+    run, so a kernel's end is read promptly, and restore it on
+    every way out."""
+
+    def test_short_kernel_end_is_read_promptly(self):
+        excess = []
+        for _ in range(10):
+            result = run_mtsm(
+                ConstantPowerProvider(100.0), CallableWorkload(lambda: time.sleep(0.02)), clock=RealClock()
+            )
+            excess.append(result.elapsed - 0.02)
+        # a 5 ms switch interval overstates this kernel by about 5 ms
+        assert np.median(excess) < 2e-3, excess
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_lowered_while_sampling(self, strategy):
+        before = sys.getswitchinterval()
+        seen = []
+        run_threaded(strategy, ConstantPowerProvider(1.0), CallableWorkload(lambda: seen.append(sys.getswitchinterval())))
+        assert seen == [pytest.approx(1e-4)]
+        assert sys.getswitchinterval() == before
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_restored_after_raising_workload(self, strategy):
+        before = sys.getswitchinterval()
+
+        def boom():
+            raise RuntimeError("kernel fault")
+
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            run_threaded(strategy, ConstantPowerProvider(1.0), CallableWorkload(boom))
+        assert sys.getswitchinterval() == before
+
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_restored_after_startup_failure(self, strategy):
+        before = sys.getswitchinterval()
+        with pytest.raises(SamplerStartupFailure):
+            run_threaded(strategy, DeadSensor(), CallableWorkload(lambda: time.sleep(0.01)))
+        assert sys.getswitchinterval() == before
+
+    def test_overlapping_runs_restore_the_callers_value(self):
+        before = sys.getswitchinterval()
+        long_started, short_done = threading.Event(), threading.Event()
+        seen, errors = [], []
+
+        def long_kernel():
+            long_started.set()
+            short_done.wait(timeout=5.0)
+            seen.append(sys.getswitchinterval())  # the short run has ended; this one still samples
+
+        def short_kernel():
+            long_started.wait(timeout=5.0)
+            time.sleep(0.01)
+
+        def run(kernel):
+            try:
+                run_mtsm(ConstantPowerProvider(1.0), CallableWorkload(kernel), clock=RealClock())
+            except BaseException as exc:
+                errors.append(exc)
+
+        long_run = threading.Thread(target=run, args=(long_kernel,))
+        long_run.start()
+        run(short_kernel)
+        short_done.set()
+        long_run.join(timeout=10.0)
+        assert errors == [] and seen == [pytest.approx(1e-4)]
+        assert sys.getswitchinterval() == before
 
 
 class DeadSensor:

@@ -1,10 +1,12 @@
-"""Provider semantics: step-hold replay, constants, simulated devices."""
+"""Provider semantics: step-hold replay, constants, simulated devices, and
+whole-grid reads that match reading time by time."""
 
 import numpy as np
 import pytest
 
 from instrujoule import (
     ConstantPowerProvider,
+    PowerProvider,
     PowerTrace,
     ProviderExhausted,
     ReplayProvider,
@@ -83,3 +85,114 @@ class TestSyntheticDeviceProvider:
         assert all(
             provider.next_sample(t) >= 0.0 for t in np.linspace(0, 2, 200)
         )
+
+
+def scalar_reads(provider, times):
+    """What reading ``times`` one by one returns: the values, or the error."""
+    try:
+        return [provider.next_sample(t) for t in np.asarray(times).tolist()]
+    except Exception as exc:
+        return exc
+
+
+def grid_reads(provider, times):
+    try:
+        return provider.sample_grid(np.asarray(times, dtype=np.float64))
+    except Exception as exc:
+        return exc
+
+
+class CountingProvider(PowerProvider):
+    """Defines only ``next_sample``, so ``sample_grid`` is the default."""
+
+    def __init__(self):
+        self.seen = []
+
+    def next_sample(self, t):
+        self.seen.append(t)
+        return 2.0 * t + 1.0
+
+
+class TestSampleGrid:
+    TRACE = PowerTrace([0.5, 1.0, 1.25, 3.0], [10.0, 20.0, 0.1 + 0.2, 40.0])
+
+    def assert_parity(self, provider, times):
+        want, got = scalar_reads(provider, times), grid_reads(provider, times)
+        assert not isinstance(want, Exception), want
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (len(want),)
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    def test_replay_matches_reads_time_by_time(self):
+        provider = ReplayProvider(self.TRACE)
+        hits = self.TRACE.times.tolist()  # the first and last sample included
+        between = [0.75, 1.0000001, 1.2499999, 2.9, np.nextafter(1.25, 0.0), np.nextafter(3.0, 0.0)]
+        self.assert_parity(provider, hits)
+        self.assert_parity(provider, between)
+        self.assert_parity(provider, sorted(hits + between))
+        self.assert_parity(provider, [3.0, 0.5, 1.25, 1.25])  # any order, repeats
+        self.assert_parity(provider, [])
+
+    def test_replay_seeded_grids(self):
+        rng = np.random.default_rng(11)
+        times = np.cumsum(rng.uniform(1e-4, 1e-2, 2_000))
+        provider = ReplayProvider(PowerTrace(times, rng.uniform(0.0, 9e4, times.size)))
+        grid = times[0] + np.arange(1_500) * 7.3e-3
+        grid = grid[grid <= times[-1]]
+        self.assert_parity(provider, grid)
+        self.assert_parity(provider, np.concatenate([grid, times]))
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [0.4999999, 1.0],  # before the start
+            [1.0, 3.0000001, 0.1],  # past the end, then before the start
+            [0.7, 0.1, 4.0],  # before the start, then past the end
+            [0.5, 3.0, 3.0, np.nextafter(3.0, 4.0)],  # one ulp past the end
+        ],
+    )
+    def test_replay_out_of_range_raises_the_first_failing_read(self, times):
+        provider = ReplayProvider(self.TRACE)
+        want, got = scalar_reads(provider, times), grid_reads(provider, times)
+        assert isinstance(want, ProviderExhausted)
+        assert type(got) is type(want) and str(got) == str(want)
+
+    def test_replay_empty_trace(self):
+        provider = ReplayProvider(PowerTrace([], []))
+        want, got = scalar_reads(provider, [0.0, 1.0]), grid_reads(provider, [0.0, 1.0])
+        assert type(got) is ProviderExhausted and str(got) == str(want) == "replay trace is empty"
+        assert grid_reads(provider, []).size == 0  # nothing read, nothing raised
+
+    def test_constant(self):
+        provider = ConstantPowerProvider(1234.5)
+        self.assert_parity(provider, [0.0, 1e-9, 7.5, 1e6])
+        self.assert_parity(provider, [])
+
+    def test_default_reads_each_time_in_order(self):
+        times = np.array([0.25, 3.0, 0.1, 0.1, 1e-12])
+        self.assert_parity(CountingProvider(), times)
+        provider = CountingProvider()
+        provider.sample_grid(times)
+        assert provider.seen == times.tolist()
+        assert all(type(t) is float for t in provider.seen)
+
+    def test_default_raises_what_the_read_raises(self):
+        class FailsAtTwo(CountingProvider):
+            def next_sample(self, t):
+                if t >= 2.0:
+                    raise ProviderExhausted(f"no reading at {t}")
+                return super().next_sample(t)
+
+        provider = FailsAtTwo()
+        with pytest.raises(ProviderExhausted, match="no reading at 2.5"):
+            provider.sample_grid(np.array([0.0, 1.0, 2.5, 3.0]))
+        assert provider.seen == [0.0, 1.0]
+
+    def test_synthetic_device_reads_a_grid_time_by_time(self):
+        model = SyntheticModel(noise_stddev=800.0, rng_seed=9)
+        times = np.linspace(0.0, 2.0, 300)
+        a, b = SyntheticDeviceProvider(model), SyntheticDeviceProvider(model)
+        a.launch(0.1)
+        b.launch(0.1)
+        assert a.sample_grid(times).tolist() == [b.next_sample(t) for t in times.tolist()]
+        assert "sample_grid" not in vars(SyntheticDeviceProvider)
