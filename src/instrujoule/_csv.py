@@ -97,17 +97,27 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
     whole = r // scale
     frac = (r - whole * scale) * _IPOW10[12 - d]
     del r, d, scale
-    f0, f1, f2 = frac // 100_000_000, frac // 10_000 % 10_000, frac % 10_000
+    # Digit words that no value of the block shows are neither computed nor
+    # written, as the mask drops them: the integer part's first two words show
+    # only for values of 10**8 and 10**4 or more, and fraction digits 9-12
+    # only below 1 (a value with exponent e has at most 8 - e fraction digits,
+    # so from e = 0 on f2 is 0).
+    top, bottom = e.max(), e.min()
+    f0, f1 = frac // 100_000_000, frac // 10_000 % 10_000
+    f2 = frac % 10_000 if bottom < 0 else 0
     del frac
     words = np.empty((x.size, 8), dtype=np.uint32)
-    words[:, 0] = _DIGITS4[whole // 100_000_000]
-    words[:, 1] = _DIGITS4[whole // 10_000 % 10_000]
+    if top >= 8:
+        words[:, 0] = _DIGITS4[whole // 100_000_000]
+    if top >= 4:
+        words[:, 1] = _DIGITS4[whole // 10_000 % 10_000]
     words[:, 2] = _DIGITS4[whole % 10_000]
     del whole
     words[:, 3] = _DOT
     words[:, 4] = _DIGITS4[f0]
     words[:, 5] = _DIGITS4[f1]
-    words[:, 6] = _DIGITS4[f2]
+    if bottom < 0:
+        words[:, 6] = _DIGITS4[f2]
     seps = ("\0\0\0" + delimiter) * (k - 1) + "\0\0\0\n"
     words.reshape(rows, k, 8)[:, :, 7] = np.frombuffer(seps.encode("ascii"), np.uint32)
     # fraction digits left once %g strips trailing zeros

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -75,6 +76,22 @@ def _energy_result_json(result: EnergyResult) -> dict:
             ),
         },
     }
+
+
+def _result_json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` for an ``_energy_result_json``
+    payload. ``indent`` runs the pure-Python encoder, so the trace's float
+    lists come from the C encoder instead: it writes each float as its
+    ``repr``, joined by ", ", which only needs the indenting re-applied."""
+    trace = payload["trace"]
+    text = json.dumps({**payload, "trace": {**trace, "t_s": [], "power_mw": []}}, indent=2)
+    for key in ("t_s", "power_mw"):
+        if trace[key]:
+            items = json.dumps(trace[key])[1:-1].replace(", ", ",\n      ")
+            # '"t_s": []' occurs only as the key: a '"' inside a JSON string is
+            # always escaped, so no label can spell it
+            text = text.replace(f'"{key}": []', f'"{key}": [\n      {items}\n    ]', 1)
+    return text + "\n"
 
 
 def _cmd_gen(args) -> int:
@@ -168,7 +185,7 @@ def _cmd_measure(args) -> int:
 
     runner = run_papi_style if strategy == Strategy.PAPI_STYLE else run_mtsm
     result = runner(provider, workload, clock=clock, label=label)
-    _write_out(json.dumps(_energy_result_json(result), indent=2) + "\n", args.out)
+    _write_out(_result_json_text(_energy_result_json(result)), args.out)
     return 0
 
 
@@ -263,6 +280,7 @@ class _Usage(Exception):
     pass
 
 
+@functools.cache  # parse_args does not change the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="instrujoule",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from instrujoule import SyntheticModel, load_trace
-from instrujoule.cli import cli_main
+from instrujoule.cli import _build_parser, cli_main
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +273,30 @@ class TestReportAndFixtures:
         code, _, err = run_cli(capsys, "fixtures")
         assert code == 1
         assert "FixtureCorrupt" in err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_successive_calls_match_fresh_parsers(self, capsys, tmp_path):
+        model = write_model(tmp_path, kernel_duration=0.2, idle_lead=0.1, idle_tail=0.1)
+        calls = [
+            ["gen", "--inst", "div.u32"],
+            ["measure", "--provider", f"synth:{model}"],  # argparse: --strategy missing
+            ["measure", "--strategy", "mtsm", "--provider", f"synth:{model}",
+             "--read-cost", "0.001", "--label", "first"],
+            ["gen", "--iters", "12"],  # usage error raised by the command
+            ["fixtures"],
+            ["gen", "--bogus"],
+            ["measure", "--strategy", "papi", "--provider", f"synth:{model}"],
+            ["gen", "--list"],
+            ["--version"],
+        ]
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert [r[0] for r in reused] == [0, 2, 0, 2, 0, 2, 0, 0, 0]
+        assert reused == fresh

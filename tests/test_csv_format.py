@@ -86,3 +86,17 @@ def test_chunk_sizes_and_delimiter(rows):
         " ".join("%.9g" % v for v in row) + "\n" for row in zip(*(c.tolist() for c in columns))
     )
     assert "".join(_csv.format_rows(columns, " ")) == expected
+
+
+@pytest.mark.parametrize("decade", range(-4, 9))
+def test_chunks_of_one_decade(decade):
+    # every value of the chunk in one decade, so the vector pass skips the
+    # digit words no value shows: the integer part's first two below 10**8
+    # and 10**4, fraction digits 9-12 from 1 on
+    rng = np.random.default_rng(100 + decade)
+    values = rng.uniform(10.0**decade, 10.0 ** (decade + 1), 8192 * WIDTH)
+    values = rng.choice([-1.0, 1.0], values.size) * np.round(values, 8 - decade)
+    columns = list(values.reshape(-1, WIDTH).T.copy())
+    texts = ["%.9g" % v for v in values.tolist()]
+    expected = "".join(",".join(texts[i:i + WIDTH]) + "\n" for i in range(0, values.size, WIDTH))
+    assert "".join(_csv.format_rows(columns)) == expected
