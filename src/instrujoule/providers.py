@@ -16,8 +16,10 @@ results. Three implementations ship with the toolkit:
                       grid is one ``np.full``;
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
-                      profile, then plateau / ramp / stepped decay. It
-                      reads a grid time by time.
+                      profile, then plateau / ramp / stepped decay. Each
+                      read takes the next value of one seeded noise stream,
+                      drawn from the generator in blocks; it reads a grid
+                      time by time.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -32,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ProviderExhausted
-from .synthetic import SyntheticModel, noise_free_power
+from .synthetic import SyntheticModel, _scalar_power
 from .trace import PowerTrace
 
 
@@ -95,16 +97,24 @@ class SyntheticDeviceProvider(PowerProvider):
 
     Reads idle power until ``launch`` anchors the profile at the launch
     instant; afterwards the profile is a pure function of time, so sampling
-    order does not matter. Per-reading Gaussian noise is drawn from a
+    order does not matter. Per-reading Gaussian noise is one stream from a
     generator seeded by the model, making any deterministic sampling
-    schedule bit-reproducible.
+    schedule bit-reproducible. The stream is drawn in blocks that double
+    from 16 to 4096 values, and reads take its values in order: a block of
+    n draws equals n single draws, so each reading is what drawing its noise
+    alone would give.
     """
+
+    _first_block = 16
+    _max_block = 4096
 
     def __init__(self, model: SyntheticModel):
         model.validate()
         self.model = model
         self._rng = np.random.default_rng(model.rng_seed)
         self._t_launch: float | None = None
+        self._noise: list[float] = []  # drawn, not yet read; the next one is last
+        self._block = self._first_block
 
     def launch(self, t: float) -> None:
         if self._t_launch is not None:
@@ -115,7 +125,14 @@ class SyntheticDeviceProvider(PowerProvider):
         if self._t_launch is None:
             p = float(self.model.p_idle)
         else:
-            p = float(noise_free_power(self.model, t, self._t_launch))
+            p = _scalar_power(self.model, t, self._t_launch)
         if self.model.noise_stddev > 0:
-            p = max(p + float(self._rng.normal(0.0, self.model.noise_stddev)), 0.0)
+            noise = self._noise
+            p = max(p + (noise.pop() if noise else self._draw()), 0.0)
         return p
+
+    def _draw(self) -> float:
+        """Draw the next block of the noise stream and return its first value."""
+        size, self._block = self._block, min(2 * self._block, self._max_block)
+        self._noise = self._rng.normal(0.0, self.model.noise_stddev, size).tolist()[::-1]
+        return self._noise.pop()

@@ -1,5 +1,6 @@
 """Measurement strategies under the virtual clock, plus threaded smoke tests."""
 
+import math
 import sys
 import threading
 import time
@@ -11,6 +12,8 @@ from instrujoule import (
     CallableWorkload,
     ConstantPowerProvider,
     KernelLaunchWorkload,
+    MalformedTrace,
+    PowerProvider,
     PowerTrace,
     ProviderExhausted,
     RealClock,
@@ -23,6 +26,7 @@ from instrujoule import (
     SyntheticModel,
     TimedWorkload,
     VirtualClock,
+    energy_from_readings,
     integrate_energy_trapezoid,
     measure_instruction,
     run_mtsm,
@@ -458,6 +462,60 @@ class TestThreadedMode:
         if strategy == "mtsm":
             # back-to-back reads repeat 0.1 ms timestamps; the repeats are dropped
             assert out.n_samples == len(trace) < provider.reads
+
+    def test_mtsm_on_a_noisy_synthetic_device(self):
+        # the sampler thread reads the noise stream and draws its blocks
+        model = SyntheticModel(
+            p_idle=20_000.0, p_kernel=60_000.0, ramp_mw=10_000.0, noise_stddev=5_000.0,
+            pre_rise_lead=0.002, kernel_duration=0.018, rng_seed=13,
+        )
+        result = run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(), clock=RealClock())
+        powers = result.trace.powers
+        assert len(powers) > SyntheticDeviceProvider._first_block  # at least one refill
+        assert np.all(np.isfinite(powers)) and np.all(powers >= 0.0)
+        assert result.energy == energy_from_readings(powers, result.elapsed)
+        assert result.elapsed >= 0.02
+        assert sampler_threads() == []
+
+
+class NanAtRead(PowerProvider):
+    """A faulty sensor: returns NaN at read ``k`` (counting from 1), 100 mW otherwise."""
+
+    def __init__(self, k):
+        self.k, self.reads = k, 0
+
+    def next_sample(self, t):
+        self.reads += 1
+        return math.nan if self.reads == self.k else 100.0
+
+
+class TestNanReading:
+    """A NaN reading fails the run with MalformedTrace; no energy is nan."""
+
+    @pytest.mark.parametrize("k", [1, 2, 15])
+    def test_virtual_mtsm(self, k):
+        provider = NanAtRead(k)
+        with pytest.raises(MalformedTrace):
+            run_mtsm(provider, TimedWorkload(0.01), clock=VirtualClock())
+        assert provider.reads >= k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_threaded_mtsm(self, k):
+        provider = NanAtRead(k)
+        with pytest.raises(MalformedTrace):
+            run_mtsm(provider, CallableWorkload(lambda: time.sleep(0.02)), clock=RealClock())
+        assert provider.reads >= k
+        assert sampler_threads() == []
+
+    @pytest.mark.parametrize("clock", [VirtualClock, RealClock])
+    def test_papi_style(self, clock):
+        if clock is VirtualClock:
+            workload = TimedWorkload(0.01)
+        else:
+            workload = CallableWorkload(lambda: time.sleep(0.01))
+        with pytest.raises(MalformedTrace):
+            run_papi_style(NanAtRead(1), workload, clock=clock())
+        assert sampler_threads() == []
 
 
 class TestSwitchInterval:

@@ -1,6 +1,8 @@
 """Provider semantics: step-hold replay, constants, simulated devices, and
 whole-grid reads that match reading time by time."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from instrujoule import (
     ReplayProvider,
     SyntheticDeviceProvider,
     SyntheticModel,
+    noise_free_power,
 )
 
 
@@ -85,6 +88,104 @@ class TestSyntheticDeviceProvider:
         assert all(
             provider.next_sample(t) >= 0.0 for t in np.linspace(0, 2, 200)
         )
+
+
+class PerReadNoise:
+    """The simulated device read by read: the noise-free profile plus one
+    scalar draw from the seeded generator for every reading."""
+
+    def __init__(self, model):
+        self.model, self.rng, self.t_launch = model, np.random.default_rng(model.rng_seed), None
+
+    def launch(self, t):
+        self.t_launch = float(t)
+
+    def next_sample(self, t):
+        if self.t_launch is None:
+            p = float(self.model.p_idle)
+        else:
+            p = float(noise_free_power(self.model, t, self.t_launch))
+        if self.model.noise_stddev > 0:
+            p = max(p + float(self.rng.normal(0.0, self.model.noise_stddev)), 0.0)
+        return p
+
+
+class CountingRng:
+    """Wraps a generator and counts its ``normal`` calls and the values they draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.drawn = rng, 0, 0
+
+    def normal(self, loc, scale, size):
+        self.calls += 1
+        self.drawn += size
+        return self.rng.normal(loc, scale, size)
+
+
+def counted(provider):
+    provider._rng = CountingRng(provider._rng)
+    return provider._rng
+
+
+class TestBlockNoise:
+    """Noise drawn a block at a time is the stream of one draw per read."""
+
+    MODEL = SyntheticModel(noise_stddev=800.0, ramp_mw=5_000.0, kernel_duration=0.5, rng_seed=21)
+
+    def reads(self, provider, idle_times, times):
+        out = [provider.next_sample(t) for t in idle_times]
+        provider.launch(0.25)
+        return out + [provider.next_sample(t) for t in times]
+
+    def assert_bits_equal(self, got, want):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_matches_one_draw_per_read(self):
+        idle = np.linspace(0.0, 0.2, 10).tolist()
+        # 9000 reads: the blocks grow to their cap, then refill at it
+        times = np.linspace(0.2, 1.9, 9_000)
+        cap = SyntheticDeviceProvider._max_block
+        assert len(idle) + times.size > 2 * cap > 3 * SyntheticDeviceProvider._first_block
+        got = self.reads(SyntheticDeviceProvider(self.MODEL), idle, times.tolist())
+        want = self.reads(PerReadNoise(self.MODEL), idle, times.tolist())
+        self.assert_bits_equal(got, want)
+        numpy_times = list(times)  # np.float64 times read as Python floats do
+        assert type(numpy_times[0]) is np.float64
+        self.assert_bits_equal(self.reads(SyntheticDeviceProvider(self.MODEL), idle, numpy_times), want)
+
+    def test_clamped_reads_match(self):
+        model = SyntheticModel(p_idle=1.0, p_kernel=1.0, noise_stddev=1e3, rng_seed=4)
+        times = np.linspace(0.0, 3.0, 500).tolist()
+        got = self.reads(SyntheticDeviceProvider(model), times[:50], times)
+        want = self.reads(PerReadNoise(model), times[:50], times)
+        assert 0.0 in got
+        self.assert_bits_equal(got, want)
+
+    def test_one_read_draws_one_small_block(self):
+        provider = SyntheticDeviceProvider(self.MODEL)
+        rng = counted(provider)
+        assert provider.next_sample(0.0) == PerReadNoise(self.MODEL).next_sample(0.0)
+        assert rng.calls == 1 and rng.drawn == SyntheticDeviceProvider._first_block <= 16
+
+    def test_noise_free_model_draws_nothing(self):
+        model = SyntheticModel(noise_stddev=0.0)
+        provider = SyntheticDeviceProvider(model)
+        rng = counted(provider)
+        times = np.linspace(0.2, 3.0, 1_000).tolist()
+        got = self.reads(provider, [0.0, 0.1], times)
+        assert rng.calls == 0
+        self.assert_bits_equal(got, self.reads(PerReadNoise(model), [0.0, 0.1], times))
+
+    @pytest.mark.parametrize("n", [1, 17, 1_000, 100_000])
+    def test_generator_calls_grow_with_log_n_plus_n_over_cap(self, n):
+        provider = SyntheticDeviceProvider(self.MODEL)
+        rng = counted(provider)
+        provider.launch(0.0)
+        for t in np.linspace(0.0, 1.0, n).tolist():
+            provider.next_sample(t)
+        assert rng.calls <= math.log2(n) + n / SyntheticDeviceProvider._max_block + 1
+        first, cap = SyntheticDeviceProvider._first_block, SyntheticDeviceProvider._max_block
+        assert n <= rng.drawn < min(2 * n + first, n + cap)
 
 
 def scalar_reads(provider, times):
