@@ -42,7 +42,6 @@ from .energy import (
     energy_from_readings,
     instruction_energy,
     integrate_energy,
-    integrate_energy_trapezoid,
 )
 from .errors import (
     EmptyWindow,

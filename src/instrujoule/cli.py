@@ -47,7 +47,7 @@ from .monitor import (
 from .providers import ReplayProvider, SyntheticDeviceProvider
 from .report import load_reference_table, render_table, emit_plot_data
 from .synthetic import SyntheticModel
-from .trace import KernelWindow, PowerTrace, load_trace, save_trace
+from .trace import KernelWindow, load_trace, save_trace
 
 
 def _write_out(text: str, out: str) -> None:
@@ -158,7 +158,7 @@ def _cmd_measure(args) -> int:
     label = args.label
     if workload_arg.startswith("synth:"):
         seconds = float(workload_arg[len("synth:"):])
-        if seconds <= 0:
+        if not seconds > 0:
             raise _Usage("workload duration must be > 0")
         label = label or "kernel"
     else:
@@ -270,12 +270,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_fixtures(args) -> int:
-    table = load_reference_table(args.fixture)
-    _write_out(render_table(table, format="csv"), args.out)
-    return 0
-
-
 class _Usage(Exception):
     pass
 
@@ -345,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixtures", help="dump the verified bundled reference table as csv")
     p.add_argument("--fixture", help="override the bundled fixture path")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=_cmd_fixtures)
+    p.set_defaults(fn=_cmd_report, format="csv", plot_trace=None)
 
     return parser
 

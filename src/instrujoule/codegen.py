@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import Category, InstructionSpec, OperandType, in_catalog
+from .catalog import InstructionSpec, OperandType, in_catalog
 from .errors import ParseFailure, UnsupportedInstruction
 
 PTX_VERSION = "6.4"
@@ -220,7 +220,6 @@ def generate_kernel(
 
     if spec.operand_type.is_float:
         decl_type, prefix, (c1_lit, c2_lit), cvt_t = _FLOAT_BANKS[spec.operand_type]
-        mov = {"f32": "mov.f32", "f64": "mov.f64", "f16": "mov.b16"}[cvt_t]
         decls = [
             "\t.reg .pred \t%p<2>;",
             "\t.reg .b32 \t%r<4>;",
@@ -232,8 +231,8 @@ def generate_kernel(
         preamble = [
             f"\tld.param.u64 \t%rd1, [{param}];",
             "\tcvta.to.global.u64 \t%rd2, %rd1;",
-            f"\t{mov} \t{prefix}1, {c1_lit};",
-            f"\t{mov} \t{prefix}2, {c2_lit};",
+            f"\tmov{decl_type} \t{prefix}1, {c1_lit};",
+            f"\tmov{decl_type} \t{prefix}2, {c2_lit};",
             f"\tmov.u32 \t%r1, {iterations};",
             "\tmov.u32 \t%r3, 0;",
             "\tst.global.u32 \t[%rd2], %r3;",

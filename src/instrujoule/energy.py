@@ -6,8 +6,7 @@ elapsed time:
     E (mJ) = elapsed (s) / N * sum(power_i (mW))
 
 This sample-mean form (not a trapezoidal rule) is the canonical energy
-everywhere in the toolkit; the trapezoid variant exists only as a
-cross-check oracle for tests. Per-instruction energy divides the difference
+everywhere in the toolkit. Per-instruction energy divides the difference
 between a total and an overhead run by the instruction count:
 
     E_instruction (uJ) = (E_total - E_overhead) (mJ) / n_instructions * 1000
@@ -28,8 +27,6 @@ if TYPE_CHECKING:  # avoid a circular import; monitor builds these results
     from .catalog import InstructionSpec
     from .monitor import EnergyResult
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
-
 
 def energy_from_readings(powers, elapsed: float) -> float:
     """Sample-mean energy (mJ) of ``powers`` (mW) over ``elapsed`` seconds.
@@ -44,34 +41,17 @@ def energy_from_readings(powers, elapsed: float) -> float:
     return elapsed / powers.size * total
 
 
-def _window_slice(trace: PowerTrace, window: KernelWindow):
-    # Samples exactly on the boundary are included (closed interval), so a
-    # single-sample window is non-empty.
+def integrate_energy(trace: PowerTrace, window: KernelWindow) -> float:
+    """Kernel energy (mJ): window span times the mean in-window power.
+
+    Samples exactly on the boundary are included (closed interval), so a
+    single-sample window is non-empty."""
     mask = (trace.times >= window.start) & (trace.times <= window.end)
     if not bool(np.any(mask)):
         raise EmptyWindow(
             f"no samples inside window [{window.start:.9g}, {window.end:.9g}]"
         )
-    return trace.times[mask], trace.powers[mask]
-
-
-def integrate_energy(trace: PowerTrace, window: KernelWindow) -> float:
-    """Kernel energy (mJ): window span times the mean in-window power."""
-    _, powers = _window_slice(trace, window)
-    return energy_from_readings(powers, window.span)
-
-
-def integrate_energy_trapezoid(trace: PowerTrace, window: KernelWindow) -> float:
-    """Trapezoidal-rule energy (mJ) over the in-window samples.
-
-    Test-only cross-check: integrates the sampled sub-span, so it equals the
-    sample-mean form exactly on constant traces and within one sample
-    quantum elsewhere.
-    """
-    times, powers = _window_slice(trace, window)
-    if times.size == 1:
-        return 0.0
-    return float(_trapezoid(powers, times))
+    return energy_from_readings(trace.powers[mask], window.span)
 
 
 def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -> float:

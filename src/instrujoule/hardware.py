@@ -30,7 +30,7 @@ import numpy as np
 from . import _csv
 from .energy import integrate_energy
 from .errors import MalformedCapture, MissingShunt
-from .trace import KernelWindow, PowerTrace
+from .trace import KernelWindow, PowerTrace, _check_times
 
 _HEADER = "t_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps"
 _CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
@@ -65,11 +65,7 @@ class HwCapture:
         if not r_s > 0:
             raise MalformedCapture(f"shunt resistance must be > 0, got {r_s}")
         t = np.asarray(times, dtype=np.float64)
-        if t.size and not np.all(np.isfinite(t)):
-            raise MalformedCapture("non-finite timestamp")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            idx = int(np.argmax(np.diff(t) <= 0))
-            raise MalformedCapture(f"timestamps not strictly increasing at index {idx + 1}")
+        _check_times(t, MalformedCapture)
         chans = {}
         for name in _CHANNELS:
             arr = np.asarray(channels[name], dtype=np.float64)
@@ -90,33 +86,28 @@ class HwCapture:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def sample(self, i: int) -> HwSample:
-        return HwSample(
-            float(self.times[i]),
-            *(float(self.channels[name][i]) for name in _CHANNELS),
-        )
+
+def _rails(v_s1, v_g1, v_s2, v_g2, i_clamp, v_dps, r_s):
+    """The rig power equation on floats or arrays alike: the 12 V, 3.3 V and
+    direct-supply powers and their total, in watts."""
+    p_12v = (v_s1 - v_g1) / r_s * v_g1
+    p_3v3 = (v_s2 - v_g2) / r_s * v_g2
+    p_dps = i_clamp * v_dps
+    return p_12v, p_3v3, p_dps, p_12v + p_3v3 + p_dps
 
 
 def hw_power(sample: HwSample, r_s: float) -> HwPowerPoint:
     """Evaluate the rig power equation for one capture row (watts)."""
     if not r_s > 0:
         raise ValueError("shunt resistance must be > 0")
-    p_12v = (sample.v_s1 - sample.v_g1) / r_s * sample.v_g1
-    p_3v3 = (sample.v_s2 - sample.v_g2) / r_s * sample.v_g2
-    p_dps = sample.i_clamp * sample.v_dps
-    return HwPowerPoint(sample.t, p_12v, p_3v3, p_dps, p_12v + p_3v3 + p_dps)
+    channels = (getattr(sample, name) for name in _CHANNELS)
+    return HwPowerPoint(sample.t, *_rails(*channels, r_s))
 
 
 def hw_power_trace(capture: HwCapture) -> PowerTrace:
     """Per-row power evaluation as a milliwatt trace for energy integration."""
-    r_s = capture.r_s
-    c = capture.channels
-    p_watts = (
-        (c["v_s1"] - c["v_g1"]) / r_s * c["v_g1"]
-        + (c["v_s2"] - c["v_g2"]) / r_s * c["v_g2"]
-        + c["i_clamp"] * c["v_dps"]
-    )
-    return PowerTrace(capture.times, p_watts * 1000.0)
+    channels = (capture.channels[name] for name in _CHANNELS)
+    return PowerTrace(capture.times, _rails(*channels, capture.r_s)[-1] * 1000.0)
 
 
 def hw_energy(capture: HwCapture, window: KernelWindow) -> float:

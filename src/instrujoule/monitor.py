@@ -19,7 +19,8 @@ Three ways to turn a power provider plus a workload into data:
                      readings from the kernel window contribute.
 
 Each strategy is one driver sequence run inside a sampler, and the clock
-picks the sampler. Under RealClock a thread reads ``clock.now`` and then
+picks the sampler. Under RealClock, or any clock that is not a
+VirtualClock, a thread reads ``clock.now`` and then
 ``provider.next_sample(t)`` until stopped: every ``interval`` seconds for
 SMA, back to back for MTSM. While it runs, the interpreter's switch interval
 is lowered to 0.1 ms, so the timing thread reads the end of a kernel within
@@ -75,24 +76,15 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0, read_cost: float = DEFAULT_READ_COST):
-        if read_cost <= 0:
+        if not read_cost > 0:
             raise ValueError("read_cost must be > 0")
         self.now = float(start)
         self.read_cost = float(read_cost)
 
     def advance(self, dt: float) -> None:
-        if dt < 0:
+        if not dt >= 0:
             raise ValueError("cannot advance a clock backwards")
         self.now += dt
-
-    def jump_to(self, t: float) -> None:
-        if t < self.now:
-            raise ValueError("cannot jump a clock backwards")
-        self.now = float(t)
-
-    @property
-    def is_virtual(self) -> bool:
-        return True
 
 
 class RealClock:
@@ -107,10 +99,6 @@ class RealClock:
 
     def advance(self, dt: float) -> None:
         time.sleep(dt)
-
-    @property
-    def is_virtual(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -226,7 +214,7 @@ def _sampler(provider: PowerProvider, workload: Workload, clock, interval: float
     """The sampler a driver runs its block inside: reads every ``interval``
     seconds (SMA) or back to back (MTSM, ``interval=None``), virtual or
     threaded as the clock is."""
-    if clock.is_virtual:
+    if isinstance(clock, VirtualClock):
         if workload.duration is None:
             raise ValueError(
                 f"workload {workload.label!r} has no fixed duration; "
@@ -271,7 +259,7 @@ class _VirtualSampler:
         if back_to_back:
             grid = self.provider.sample_grid(self.times[1:])
             self.powers = np.concatenate(([self._handshake], grid))
-            self.clock.jump_to(self.times[-1])  # the clear is observed at the last read
+            self.clock.now = float(self.times[-1])  # the clear is observed at the last read
         else:
             self.powers = self.provider.sample_grid(self.times)
         self.flag_clear = float(self.times[-1])
@@ -447,7 +435,7 @@ def run_sma(
     inside the trace, so callers get the raw recording only.
     """
     config = config or SamplerConfig.fixed_interval()
-    if lead < 0 or tail < 0:
+    if not (lead >= 0 and tail >= 0):
         raise ValueError("lead and tail must be >= 0")
     clock = clock or VirtualClock()
     workload = workload.bind(provider)

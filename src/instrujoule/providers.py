@@ -81,7 +81,7 @@ class ReplayProvider(PowerProvider):
 
 class ConstantPowerProvider(PowerProvider):
     def __init__(self, power_mw: float):
-        if power_mw < 0:
+        if not power_mw >= 0:
             raise ValueError("power must be >= 0")
         self.power_mw = float(power_mw)
 

@@ -37,14 +37,13 @@ _CATEGORY_BANNERS = {
     Category.INTEGER_INTRINSIC: "(8) Integer Intrinsic Instructions",
 }
 
-_CSV_HEADER = (
-    "category,row,"
-    + ",".join(
-        f"{opt}_{gen.lower()}_{m}"
-        for opt in ("opt", "nonopt")
-        for gen in GENERATIONS
-        for m in ("papi", "mtsm")
-    )
+# (generation, optimized) per column, in the order of the CSV and both renderings
+_COLUMNS = tuple((gen, optimized) for optimized in (True, False) for gen in GENERATIONS)
+
+_CSV_HEADER = "category,row," + ",".join(
+    f"{'opt' if optimized else 'nonopt'}_{gen.lower()}_{m}"
+    for gen, optimized in _COLUMNS
+    for m in ("papi", "mtsm")
 )
 
 
@@ -139,32 +138,33 @@ def _parse_fixture(text: str) -> ResultsTable:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 18:
+        if len(parts) != 2 + 2 * len(_COLUMNS):
             raise FixtureCorrupt(f"fixture row has {len(parts)} fields: {ln!r}")
         category = Category(parts[0])
         label = parts[1]
         cells = {}
-        idx = 2
-        for optimized in (True, False):
-            for gen in GENERATIONS:
-                papi_text, mtsm_text = parts[idx], parts[idx + 1]
-                idx += 2
-                if papi_text == "NA" or mtsm_text == "NA":
-                    if papi_text != mtsm_text:
-                        raise FixtureCorrupt(
-                            f"row {label!r}: half-NA cell for {gen}/{optimized}"
-                        )
-                    cells[(gen, optimized)] = None
-                else:
-                    cells[(gen, optimized)] = TableCell(papi_text, mtsm_text)
+        for (gen, optimized), papi_text, mtsm_text in zip(_COLUMNS, parts[2::2], parts[3::2]):
+            if papi_text == "NA" or mtsm_text == "NA":
+                if papi_text != mtsm_text:
+                    raise FixtureCorrupt(
+                        f"row {label!r}: half-NA cell for {gen}/{optimized}"
+                    )
+                cells[(gen, optimized)] = None
+            else:
+                cells[(gen, optimized)] = TableCell(papi_text, mtsm_text)
         rows.append(TableRow(category, label, cells))
     return ResultsTable(rows)
 
 
-def _cell_texts(cell: TableCell | None) -> tuple[str, str]:
-    if cell is None:
-        return "NA", "NA"
-    return cell.papi_text, cell.mtsm_text
+def _row_texts(row: TableRow) -> list[tuple[str, str]]:
+    """The (papi, mtsm) digit strings of each column, NA for an NA cell."""
+    cells = (row.cells[key] for key in _COLUMNS)
+    return [("NA", "NA") if c is None else (c.papi_text, c.mtsm_text) for c in cells]
+
+
+def _by_category(rows) -> list[tuple[Category, list[TableRow]]]:
+    """The rows of each category, in report order; rows keep their order."""
+    return [(c, [r for r in rows if r.category == c]) for c in CATEGORY_ORDER]
 
 
 def render_table(table: ResultsTable, format: str = "text") -> str:
@@ -175,17 +175,13 @@ def render_table(table: ResultsTable, format: str = "text") -> str:
     computed tables built with 4-decimal strings therefore print with four
     decimal places.
     """
+    groups = _by_category(table.rows)
     if format == "csv":
         lines = [_CSV_HEADER]
-        for category in CATEGORY_ORDER:
-            for row in table.rows:
-                if row.category != category:
-                    continue
-                fields = [category.value, row.label]
-                for optimized in (True, False):
-                    for gen in GENERATIONS:
-                        fields.extend(_cell_texts(row.cell(gen, optimized)))
-                lines.append(",".join(fields))
+        for category, rows in groups:
+            for row in rows:
+                texts = [text for pair in _row_texts(row) for text in pair]
+                lines.append(",".join([category.value, row.label, *texts]))
         return "\n".join(lines) + "\n"
 
     if format != "text":
@@ -198,17 +194,13 @@ def render_table(table: ResultsTable, format: str = "text") -> str:
     lines.append(f"{'':{label_w}}  {'Optimized'.center(4 * col_w)} | {'Non-Optimized'.center(4 * col_w)}")
     lines.append(f"{'Instruction':{label_w}}  {header_cells} | {header_cells}")
     lines.append("-" * (label_w + 2 + 8 * col_w + 3))
-    for category in CATEGORY_ORDER:
-        rows = [r for r in table.rows if r.category == category]
+    for category, rows in groups:
         if not rows:
             continue
         lines.append(f"== {_CATEGORY_BANNERS[category]} ==")
         for row in rows:
-            cells = []
-            for optimized in (True, False):
-                for gen in GENERATIONS:
-                    papi, mtsm = _cell_texts(row.cell(gen, optimized))
-                    cells.append(f"{papi} , {mtsm}" if papi != "NA" else "NA")
+            pairs = _row_texts(row)
+            cells = [f"{papi} , {mtsm}" if papi != "NA" else "NA" for papi, mtsm in pairs]
             left = "".join(f"{c:>{col_w}}" for c in cells[:4])
             right = "".join(f"{c:>{col_w}}" for c in cells[4:])
             lines.append(f"{row.label:{label_w}}  {left} | {right}")
@@ -227,11 +219,9 @@ def build_results_table(
     for spec, gen, optimized, papi_uj, mtsm_uj in entries:
         key = (spec.category, spec.table_row)
         if key not in rows:
-            cells = {(g, o): None for g in GENERATIONS for o in (True, False)}
-            rows[key] = TableRow(spec.category, spec.table_row, cells)
+            rows[key] = TableRow(spec.category, spec.table_row, dict.fromkeys(_COLUMNS))
         rows[key].cells[(gen, optimized)] = TableCell(f"{papi_uj:.4f}", f"{mtsm_uj:.4f}")
-    ordered = sorted(rows.values(), key=lambda r: CATEGORY_ORDER.index(r.category))
-    return ResultsTable(ordered)
+    return ResultsTable([r for _, group in _by_category(rows.values()) for r in group])
 
 
 def emit_plot_data(trace: PowerTrace) -> str:

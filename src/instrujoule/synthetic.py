@@ -57,13 +57,13 @@ class SyntheticModel:
         for name, value in durations.items():
             if not value > 0:
                 raise InvalidModel(f"{name} must be > 0, got {value}")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise InvalidModel(f"sample_rate must be > 0, got {self.sample_rate}")
-        if self.noise_stddev < 0:
+        if not self.noise_stddev >= 0:
             raise InvalidModel(f"noise_stddev must be >= 0, got {self.noise_stddev}")
-        if self.decay_steps < 0:
+        if not self.decay_steps >= 0:
             raise InvalidModel(f"decay_steps must be >= 0, got {self.decay_steps}")
-        if self.p_idle < 0 or self.p_kernel < 0 or self.ramp_mw < 0:
+        if not (self.p_idle >= 0 and self.p_kernel >= 0 and self.ramp_mw >= 0):
             raise InvalidModel("power levels must be >= 0")
 
     def window_for_launch(self, t_launch: float) -> KernelWindow:

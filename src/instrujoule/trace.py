@@ -38,6 +38,15 @@ class KernelWindow:
         return self.end - self.start
 
 
+def _check_times(t: np.ndarray, error: type) -> None:
+    """Raise ``error`` unless the timestamps ``t`` are finite and strictly increasing."""
+    if t.size and not np.all(np.isfinite(t)):
+        raise error("non-finite timestamp")
+    if t.size > 1 and not np.all(np.diff(t) > 0):
+        idx = int(np.argmax(np.diff(t) <= 0))
+        raise error(f"timestamps not strictly increasing at index {idx + 1}")
+
+
 class PowerTrace:
     """Immutable, numpy-backed power trace.
 
@@ -58,13 +67,9 @@ class PowerTrace:
         p = np.asarray(powers, dtype=np.float64)
         if t.shape != p.shape or t.ndim != 1:
             raise MalformedTrace("times and powers must be 1-d arrays of equal length")
-        if t.size and not np.all(np.isfinite(t)):
-            raise MalformedTrace("non-finite timestamp")
+        _check_times(t, MalformedTrace)
         if p.size and not np.all(np.isfinite(p)):
             raise MalformedTrace("non-finite power sample")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            idx = int(np.argmax(np.diff(t) <= 0))
-            raise MalformedTrace(f"timestamps not strictly increasing at index {idx + 1}")
         if p.size and bool(np.any(p < 0)):
             raise MalformedTrace("negative power sample")
         if window is not None:

@@ -86,6 +86,42 @@ class TestMeasure:
         assert code == 1
         assert "SensorUnavailable" in err
 
+    @pytest.mark.parametrize("field", ["noise_stddev", "p_kernel", "sample_rate"])
+    def test_nan_model_field_exits_1(self, capsys, tmp_path, field):
+        model_path = write_model(tmp_path, **{field: float("nan")})  # written as NaN
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm", "--provider", f"synth:{model_path}",
+        )
+        assert code == 1
+        assert out == ""
+        assert "InvalidModel" in err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--strategy", "mtsm", "--read-cost", "nan"], "read_cost must be > 0"),
+            (["--strategy", "sma", "--lead", "nan"], "lead and tail must be >= 0"),
+            (["--strategy", "sma", "--tail", "nan"], "lead and tail must be >= 0"),
+        ],
+    )
+    def test_nan_run_parameter_exits_1(self, capsys, tmp_path, extra, message):
+        model_path = write_model(tmp_path, kernel_duration=0.1)
+        code, out, err = run_cli(
+            capsys, "measure", "--provider", f"synth:{model_path}", *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
+
+    def test_nan_workload_duration_is_a_usage_error(self, capsys, tmp_path):
+        model_path = write_model(tmp_path)
+        code, _, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm",
+            "--provider", f"synth:{model_path}", "--workload", "synth:nan",
+        )
+        assert code == 2
+        assert "workload duration must be > 0" in err
+
     def test_mtsm_synth_result_json(self, capsys, tmp_path):
         model_path = write_model(tmp_path, kernel_duration=0.5, noise_stddev=0.0)
         out_path = tmp_path / "result.json"

@@ -15,8 +15,9 @@ from instrujoule import (
     energy_from_readings,
     instruction_energy,
     integrate_energy,
-    integrate_energy_trapezoid,
 )
+
+from oracles import integrate_energy_trapezoid
 
 
 def uniform_trace(start, end, n, powers, window=None):

@@ -11,7 +11,9 @@ from instrujoule import (
     HwSample,
     KernelWindow,
     MalformedCapture,
+    MalformedTrace,
     MissingShunt,
+    PowerTrace,
     hw_energy,
     hw_power,
     hw_power_trace,
@@ -19,6 +21,8 @@ from instrujoule import (
     load_hw_capture,
     save_hw_capture,
 )
+
+CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
 
 
 def oracle_total_watts(v_s1, v_g1, v_s2, v_g2, i_clamp, v_dps, r_s):
@@ -126,7 +130,7 @@ class TestCaptureIO:
         capture = load_hw_capture(self.CSV.encode())
         assert len(capture) == 3
         assert capture.r_s == 0.1
-        assert capture.sample(0).v_s1 == 12.1
+        assert capture.channels["v_s1"][0] == 12.1
 
     def test_missing_shunt(self):
         body = "\n".join(self.CSV.splitlines()[1:]) + "\n"
@@ -199,8 +203,31 @@ class TestPowerTrace:
         capture = make_capture(n=20, seed=4)
         trace = hw_power_trace(capture)
         for i in range(len(capture)):
-            point = hw_power(capture.sample(i), capture.r_s)
+            row = (float(capture.channels[name][i]) for name in CHANNELS)
+            point = hw_power(HwSample(float(capture.times[i]), *row), capture.r_s)
             assert trace.powers[i] == pytest.approx(point.p_total * 1000.0, rel=1e-12)
+
+
+class TestTimestampsMatchTraces:
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0.0, float("nan"), 2.0], "non-finite timestamp"),
+            ([0.0, 1.0, float("inf")], "non-finite timestamp"),
+            ([0.0, 1.0, 1.0], "timestamps not strictly increasing at index 2"),
+            ([0.0, 2.0, 1.0, 3.0], "timestamps not strictly increasing at index 2"),
+            ([3.0, 1.0], "timestamps not strictly increasing at index 1"),
+        ],
+    )
+    def test_same_message_own_error_class(self, times, message):
+        ones = [1.0] * len(times)
+        with pytest.raises(MalformedTrace) as trace_error:
+            PowerTrace(times, ones)
+        with pytest.raises(MalformedCapture) as capture_error:
+            HwCapture(times, dict.fromkeys(CHANNELS, ones), 0.1)
+        assert type(trace_error.value) is MalformedTrace
+        assert type(capture_error.value) is MalformedCapture
+        assert str(trace_error.value) == str(capture_error.value) == message
 
 
 class TestHwEnergy:

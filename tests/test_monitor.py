@@ -27,13 +27,14 @@ from instrujoule import (
     TimedWorkload,
     VirtualClock,
     energy_from_readings,
-    integrate_energy_trapezoid,
     measure_instruction,
     run_mtsm,
     run_papi_style,
     run_sma,
     synthesize,
 )
+
+from oracles import integrate_energy_trapezoid
 
 
 def synth_run(model, runner, read_cost=0.0005):
@@ -239,6 +240,51 @@ class TestVirtualGrid:
         provider = RecordingProvider()
         trace = run_sma(provider, TimedWorkload(0.05), lead=0.01, tail=0.01)
         assert provider.calls == [("sample_grid", len(trace))]
+
+
+class TestClockAfterVirtualRun:
+    def test_mtsm_leaves_the_clock_at_the_flag_clear(self):
+        # the workload ends 0.0002 s before the next read, and the clock must
+        # move on from its completion to the read that saw it
+        clock = VirtualClock(start=0.0004, read_cost=0.0007)
+        result = run_mtsm(ConstantPowerProvider(1.0), TimedWorkload(0.0103), clock=clock)
+        completion = result.flag_timeline[0] + clock.read_cost + result.elapsed
+        assert clock.now - completion == pytest.approx(0.0002)
+        assert clock.now == result.flag_timeline[1] == result.trace.times[-1]
+        assert type(clock.now) is float
+
+    def test_mtsm_on_a_synthetic_device(self):
+        model = SyntheticModel(kernel_duration=0.0302, noise_stddev=50.0, rng_seed=4)
+        clock = VirtualClock(read_cost=0.0003)
+        result = run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(), clock=clock)
+        assert clock.now == result.flag_timeline[1] == result.trace.times[-1]
+
+    def test_sma_leaves_the_clock_at_the_end_of_the_tail(self):
+        clock = VirtualClock(start=0.25)
+        trace = run_sma(
+            ConstantPowerProvider(1.0), TimedWorkload(0.5), SamplerConfig.fixed_interval(0.015),
+            lead=0.3, tail=0.2, clock=clock,
+        )
+        assert clock.now == 0.25 + 0.3 + 0.5 + 0.2
+        assert trace.times[-1] <= clock.now
+
+
+class TestNanRunParameters:
+    # NaN fails every comparison, so each guard must be written to fail on it
+    def test_read_cost(self):
+        with pytest.raises(ValueError, match="read_cost must be > 0"):
+            VirtualClock(read_cost=float("nan"))
+
+    def test_advance(self):
+        clock = VirtualClock(start=1.0)
+        with pytest.raises(ValueError, match="cannot advance a clock backwards"):
+            clock.advance(float("nan"))
+        assert clock.now == 1.0
+
+    @pytest.mark.parametrize("lead, tail", [(float("nan"), 0.1), (0.1, float("nan"))])
+    def test_sma_lead_and_tail(self, lead, tail):
+        with pytest.raises(ValueError, match="lead and tail must be >= 0"):
+            run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
 class TestResultFieldsArePythonFloats:

@@ -53,6 +53,10 @@ class TestConstantProvider:
         with pytest.raises(ValueError):
             ConstantPowerProvider(-1.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            ConstantPowerProvider(float("nan"))
+
 
 class TestSyntheticDeviceProvider:
     def test_idle_until_launch(self):

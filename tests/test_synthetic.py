@@ -33,6 +33,27 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             synthesize(SyntheticModel(decay_step_duration=-1.0))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("noise_stddev", "noise_stddev must be >= 0, got nan"),
+            ("sample_rate", "sample_rate must be > 0, got nan"),
+            ("p_idle", "power levels must be >= 0"),
+            ("p_kernel", "power levels must be >= 0"),
+            ("ramp_mw", "power levels must be >= 0"),
+            ("kernel_duration", "kernel_duration must be > 0, got nan"),
+        ],
+    )
+    def test_nan_rejected(self, field, message):
+        # NaN fails every comparison, so each check must be written to fail on it
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(**{field: float("nan")}).validate()
+        assert str(exc.value) == message
+
+    def test_synthesize_rejects_nan_sample_rate(self):
+        with pytest.raises(InvalidModel):
+            synthesize(SyntheticModel(sample_rate=float("nan")))
+
     def test_dict_round_trip(self):
         model = SyntheticModel(p_idle=1.0, rng_seed=9)
         assert SyntheticModel.from_dict(model.to_dict()) == model
