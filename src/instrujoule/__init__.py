@@ -34,7 +34,6 @@ from .codegen import (
     emit_build_recipe,
     entry_name_for,
     generate_kernel,
-    ptx_mnemonic,
     validate_kernel,
 )
 from .energy import (

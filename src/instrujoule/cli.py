@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .codegen import (
     KernelVariant,
     emit_build_recipe,
     generate_kernel,
-    ptx_mnemonic,
 )
 from .errors import InstrujouleError, LengthMismatch, MalformedTrace, SensorUnavailable
 from .hardware import hw_energy, hw_power_trace, load_hw_capture
@@ -107,7 +107,7 @@ def _cmd_gen(args) -> int:
                         "arity": spec.arity,
                         "signedness": spec.signedness,
                         "table_row": spec.table_row,
-                        "ptx_mnemonic": ptx_mnemonic(spec),
+                        "ptx_mnemonic": spec.ptx_mnemonic,
                     }
                 )
             )
@@ -160,6 +160,8 @@ def _cmd_measure(args) -> int:
         seconds = float(workload_arg[len("synth:"):])
         if not seconds > 0:
             raise _Usage("workload duration must be > 0")
+        if not math.isfinite(seconds):
+            raise _Usage("workload duration must be finite")
         label = label or "kernel"
     else:
         label = label or workload_arg
@@ -184,7 +186,7 @@ def _cmd_measure(args) -> int:
         return 0
 
     runner = run_papi_style if strategy == Strategy.PAPI_STYLE else run_mtsm
-    result = runner(provider, workload, clock=clock, label=label)
+    result = runner(provider, workload, clock=clock)
     _write_out(_result_json_text(_energy_result_json(result)), args.out)
     return 0
 
@@ -223,15 +225,10 @@ def _load_energies(path: str) -> dict[str, float]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(data, dict) and "energies" in data:
         return {str(k): float(v) for k, v in data["energies"].items()}
-    if isinstance(data, dict) and "results" in data:
-        return {
-            str(r["label"]): float(r["energy_mj"] if "energy_mj" in r else r["energy"])
-            for r in data["results"]
-        }
     if isinstance(data, dict) and "energy_mj" in data:
         return {str(data.get("label", "kernel")): float(data["energy_mj"])}
     raise LengthMismatch(
-        f"{path}: expected an EnergyResult JSON, or an object with 'energies' or 'results'"
+        f"{path}: expected an EnergyResult JSON, or an object with 'energies'"
     )
 
 

@@ -83,84 +83,14 @@ class ValidationReport:
         )
 
 
-# Full PTX mnemonic for each catalog entry. The loop harness never uses any
-# of these, so counting occurrences of the mnemonic inside the loop body is
-# unambiguous.
-_PTX_MNEMONIC = {
-    ("add", "u32"): "add.u32",
-    ("sub", "u32"): "sub.u32",
-    ("min", "u32"): "min.u32",
-    ("max", "u32"): "max.u32",
-    ("mul", "u32"): "mul.lo.u32",
-    ("mad", "u32"): "mad.lo.u32",
-    ("div", "s32"): "div.s32",
-    ("rem", "s32"): "rem.s32",
-    ("abs", "s32"): "abs.s32",
-    ("div", "u32"): "div.u32",
-    ("rem", "u32"): "rem.u32",
-    ("and", "u32"): "and.b32",
-    ("or", "u32"): "or.b32",
-    ("xor", "u32"): "xor.b32",
-    ("not", "u32"): "not.b32",
-    ("cnot", "u32"): "cnot.b32",
-    ("shl", "u32"): "shl.b32",
-    ("shr", "u32"): "shr.u32",
-    ("add", "f32"): "add.f32",
-    ("sub", "f32"): "sub.f32",
-    ("min", "f32"): "min.f32",
-    ("max", "f32"): "max.f32",
-    ("mul", "f32"): "mul.f32",
-    ("mad", "f32"): "mad.rn.f32",
-    ("fma", "f32"): "fma.rn.f32",
-    ("div", "f32"): "div.rn.f32",
-    ("add", "f64"): "add.f64",
-    ("sub", "f64"): "sub.f64",
-    ("min", "f64"): "min.f64",
-    ("max", "f64"): "max.f64",
-    ("div", "f64"): "div.rn.f64",
-    ("add", "f16"): "add.f16",
-    ("sub", "f16"): "sub.f16",
-    ("mul", "f16"): "mul.f16",
-    ("add.cc", "u32"): "add.cc.u32",
-    ("addc", "u32"): "addc.u32",
-    ("sub.cc", "u32"): "sub.cc.u32",
-    ("subc", "u32"): "subc.u32",
-    ("mad.cc", "u32"): "mad.lo.cc.u32",
-    ("madc", "u32"): "madc.lo.u32",
-    ("rcp", "f32"): "rcp.rn.f32",
-    ("sqrt", "f32"): "sqrt.rn.f32",
-    ("approx.sqrt", "f32"): "sqrt.approx.f32",
-    ("rsqrt", "f32"): "rsqrt.approx.f32",
-    ("sin", "f32"): "sin.approx.f32",
-    ("cos", "f32"): "cos.approx.f32",
-    ("lg2", "f32"): "lg2.approx.f32",
-    ("ex2", "f32"): "ex2.approx.f32",
-    ("copysign", "f32"): "copysign.f32",
-    ("mul24", "u32"): "mul24.lo.u32",
-    ("mad24", "u32"): "mad24.lo.u32",
-    ("sad", "u32"): "sad.u32",
-    ("popc", "u32"): "popc.b32",
-    ("clz", "u32"): "clz.b32",
-    ("bfind", "u32"): "bfind.u32",
-}
-
-# Data-register bank per operand type: declaration type, name prefix,
-# constant-literal pair, and cvt type suffix used by the float harness.
+# Data-register bank per float operand type: declaration type, name prefix,
+# constant-literal pair, and cvt type suffix used by the float harness. Every
+# other type runs in the 32-bit integer registers.
 _FLOAT_BANKS = {
     OperandType.F32: (".f32", "%f", ("0f40490FDB", "0f3FC90FDB"), "f32"),
     OperandType.F64: (".f64", "%fd", ("0d400921FB54442D18", "0d3FF921FB54442D18"), "f64"),
     OperandType.F16: (".b16", "%h", ("0x4248", "0x3C00"), "f16"),
 }
-
-
-def ptx_mnemonic(spec: InstructionSpec) -> str:
-    """Full PTX mnemonic emitted for a catalog entry (e.g. 'div.u32')."""
-    try:
-        return _PTX_MNEMONIC[spec.key]
-    except KeyError:
-        raise UnsupportedInstruction(
-            f"{spec.opcode}.{spec.operand_type.value} has no PTX template"
-        ) from None
 
 
 def entry_name_for(spec: InstructionSpec) -> str:
@@ -212,14 +142,15 @@ def generate_kernel(
     if unroll_factor < 1:
         raise ValueError("unroll_factor must be >= 1")
 
-    mnemonic = ptx_mnemonic(spec)
+    mnemonic = spec.ptx_mnemonic
     entry = entry_name_for(spec)
     param = f"{entry}_param_0"
     k = unroll_factor
     total = variant == KernelVariant.TOTAL
 
-    if spec.operand_type.is_float:
-        decl_type, prefix, (c1_lit, c2_lit), cvt_t = _FLOAT_BANKS[spec.operand_type]
+    float_bank = _FLOAT_BANKS.get(spec.operand_type)
+    if float_bank:
+        decl_type, prefix, (c1_lit, c2_lit), cvt_t = float_bank
         decls = [
             "\t.reg .pred \t%p<2>;",
             "\t.reg .b32 \t%r<4>;",
@@ -409,7 +340,7 @@ def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
         raise ParseFailure("empty kernel text")
     preamble, body, postlude = _scan_kernel(kernel.ptx_text)
 
-    mnemonic = ptx_mnemonic(kernel.spec)
+    mnemonic = kernel.spec.ptx_mnemonic
     expected = kernel.unroll_factor if kernel.variant == KernelVariant.TOTAL else 0
     targets = [ins for ins in body if ins.mnemonic == mnemonic]
 

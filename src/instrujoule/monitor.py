@@ -78,12 +78,18 @@ class VirtualClock:
     def __init__(self, start: float = 0.0, read_cost: float = DEFAULT_READ_COST):
         if not read_cost > 0:
             raise ValueError("read_cost must be > 0")
+        if not math.isfinite(read_cost):
+            raise ValueError("read_cost must be finite")
+        if not math.isfinite(start):
+            raise ValueError("clock start must be finite")
         self.now = float(start)
         self.read_cost = float(read_cost)
 
     def advance(self, dt: float) -> None:
         if not dt >= 0:
             raise ValueError("cannot advance a clock backwards")
+        if not math.isfinite(dt):
+            raise ValueError("cannot advance a clock by an infinite step")
         self.now += dt
 
 
@@ -110,6 +116,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not self.interval > 0:
             raise ValueError("fixed-interval sampling needs interval > 0")
+        if not math.isfinite(self.interval):
+            raise ValueError("fixed-interval sampling needs a finite interval")
 
     @classmethod
     def fixed_interval(cls, interval: float = DEFAULT_SMA_INTERVAL) -> "SamplerConfig":
@@ -147,6 +155,8 @@ class TimedWorkload(Workload):
     def __post_init__(self):
         if not self.seconds > 0:
             raise ValueError("workload duration must be > 0")
+        if not math.isfinite(self.seconds):
+            raise ValueError("workload duration must be finite")
 
     @property
     def duration(self) -> float:
@@ -437,6 +447,8 @@ def run_sma(
     config = config or SamplerConfig.fixed_interval()
     if not (lead >= 0 and tail >= 0):
         raise ValueError("lead and tail must be >= 0")
+    if not (math.isfinite(lead) and math.isfinite(tail)):
+        raise ValueError("lead and tail must be finite")
     clock = clock or VirtualClock()
     workload = workload.bind(provider)
     with _sampler(provider, workload, clock, config.interval) as sampler:
@@ -450,7 +462,6 @@ def run_papi_style(
     provider: PowerProvider,
     workload: Workload,
     clock=None,
-    label: str | None = None,
 ) -> EnergyResult:
     """Time the workload and take one reading at completion.
 
@@ -474,7 +485,7 @@ def run_papi_style(
         n_samples=1,
         trace=PowerTrace([t_read], [power]),
         flag_timeline=(t_start, t_end),
-        label=label or workload.label,
+        label=workload.label,
     )
 
 
@@ -482,7 +493,6 @@ def run_mtsm(
     provider: PowerProvider,
     workload: Workload,
     clock=None,
-    label: str | None = None,
 ) -> EnergyResult:
     """Flag-gated max-rate sampling synchronized to the workload.
 
@@ -509,7 +519,7 @@ def run_mtsm(
         n_samples=len(times),
         trace=PowerTrace(times, powers, window),
         flag_timeline=(sampler.flag_set, sampler.flag_clear),
-        label=label or workload.label,
+        label=workload.label,
     )
 
 

@@ -113,6 +113,34 @@ class TestMeasure:
         assert out == ""
         assert err == f"error: ValueError: {message}\n"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--strategy", "mtsm", "--read-cost", "inf"], "read_cost must be finite"),
+            (["--strategy", "sma", "--interval", "inf"], "fixed-interval sampling needs a finite interval"),
+            (["--strategy", "sma", "--lead", "inf"], "lead and tail must be finite"),
+            (["--strategy", "sma", "--tail", "inf"], "lead and tail must be finite"),
+        ],
+    )
+    def test_infinite_run_parameter_exits_1(self, capsys, tmp_path, extra, message):
+        # one error line: no OverflowError traceback, no RuntimeWarning
+        model_path = write_model(tmp_path, kernel_duration=0.1)
+        code, out, err = run_cli(
+            capsys, "measure", "--provider", f"synth:{model_path}", *extra,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ValueError: {message}\n"
+
+    def test_infinite_workload_duration_is_a_usage_error(self, capsys, tmp_path):
+        model_path = write_model(tmp_path)
+        code, _, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm",
+            "--provider", f"synth:{model_path}", "--workload", "synth:inf",
+        )
+        assert code == 2
+        assert err == "usage error: workload duration must be finite\n"
+
     def test_nan_workload_duration_is_a_usage_error(self, capsys, tmp_path):
         model_path = write_model(tmp_path)
         code, _, err = run_cli(
@@ -276,6 +304,28 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", "--pred", str(pred), "--ref", str(ref))
         assert code == 1
         assert "LengthMismatch" in err
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [6.0],
+            {"label": "k"},
+            {"results": [{"label": "k", "energy_mj": 6.0}]},  # a list of results is not read
+        ],
+    )
+    def test_unrecognised_shape_exits_1(self, capsys, tmp_path, payload):
+        pred = tmp_path / "pred.json"
+        ref = tmp_path / "ref.json"
+        pred.write_text(json.dumps(payload))
+        ref.write_text(json.dumps({"energies": {"k": 5.0}}))
+        code, out, err = run_cli(capsys, "compare", "--pred", str(pred), "--ref", str(ref))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: LengthMismatch: {pred}: expected an EnergyResult JSON, "
+            "or an object with 'energies'\n"
+        )
 
 
 class TestReportAndFixtures:

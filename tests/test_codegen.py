@@ -1,5 +1,6 @@
 """Kernel generator structure and the validator that checks it."""
 
+import dataclasses
 import difflib
 
 import pytest
@@ -15,7 +16,6 @@ from instrujoule import (
     find_instruction,
     generate_kernel,
     list_catalog,
-    ptx_mnemonic,
     validate_kernel,
 )
 from instrujoule.catalog import Category
@@ -131,7 +131,7 @@ class TestWholeCatalog:
     def test_chain_arity_matches_spec(self):
         for spec in list_catalog():
             kernel = generate_kernel(spec, KernelVariant.TOTAL, 10, 3)
-            mnemonic = ptx_mnemonic(spec)
+            mnemonic = spec.ptx_mnemonic
             lines = [l for l in kernel.ptx_text.splitlines() if l.strip().startswith(mnemonic)]
             assert len(lines) == 3
             for line in lines:
@@ -207,6 +207,22 @@ class TestValidatorNegatives:
         )
         with pytest.raises(ParseFailure):
             validate_kernel(garbage)
+
+    @pytest.mark.parametrize(
+        "deleted, message",
+        [
+            ("BB0_1:", "no loop label found"),
+            ("\t@%p1 bra \tBB0_1;", "no predicate-guarded branch back to BB0_1"),
+            ("\tret;", "no ret after the loop"),
+        ],
+    )
+    def test_missing_loop_part_parse_failure(self, deleted, message):
+        kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)
+        lines = kernel.ptx_text.splitlines()
+        lines.remove(deleted)
+        with pytest.raises(ParseFailure) as info:
+            validate_kernel(dataclasses.replace(kernel, ptx_text="\n".join(lines)))
+        assert str(info.value) == message
 
     def test_empty_text_parse_failure(self):
         kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)

@@ -287,6 +287,41 @@ class TestNanRunParameters:
             run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
+INF = float("inf")
+
+
+class TestInfiniteRunParameters:
+    # each must fail at its guard: past it, _first_k overflows on an infinite
+    # bound or converts a NaN to an integer
+    @pytest.mark.parametrize("start", [float("nan"), INF, -INF])
+    def test_clock_start(self, start):
+        with pytest.raises(ValueError, match="clock start must be finite"):
+            VirtualClock(start=start)
+
+    def test_read_cost(self):
+        with pytest.raises(ValueError, match="read_cost must be finite"):
+            VirtualClock(read_cost=INF)
+
+    def test_advance(self):
+        clock = VirtualClock(start=1.0)
+        with pytest.raises(ValueError, match="cannot advance a clock by an infinite step"):
+            clock.advance(INF)
+        assert clock.now == 1.0
+
+    def test_sampler_interval(self):
+        with pytest.raises(ValueError, match="fixed-interval sampling needs a finite interval"):
+            SamplerConfig(INF)
+
+    def test_workload_duration(self):
+        with pytest.raises(ValueError, match="workload duration must be finite"):
+            TimedWorkload(INF)
+
+    @pytest.mark.parametrize("lead, tail", [(INF, 0.1), (0.1, INF)])
+    def test_sma_lead_and_tail(self, lead, tail):
+        with pytest.raises(ValueError, match="lead and tail must be finite"):
+            run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
+
+
 class TestResultFieldsArePythonFloats:
     """Results hold Python floats, never numpy scalars, whose repr differs."""
 
