@@ -206,8 +206,6 @@ def find_instruction(opcode: str, operand_type: str | OperandType) -> Instructio
 
     Raises UnsupportedInstruction if the pair is not in the catalog.
     """
-    from .errors import UnsupportedInstruction
-
     if isinstance(operand_type, OperandType):
         operand_type = operand_type.value
     try:

@@ -46,7 +46,7 @@ import operator
 import sys
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -127,21 +127,15 @@ class SamplerConfig:
 class Workload:
     """A kernel stand-in: something the driver can run to completion.
 
-    ``run`` must block until the workload is fully complete (the simulated
-    equivalent of a device synchronize). ``bind`` lets provider-coupled
-    workloads attach to the provider a strategy is using.
+    ``run(clock, provider)`` must block until the workload is fully complete
+    (the simulated equivalent of a device synchronize). ``provider`` is the
+    sensor of the device it runs on, so a workload that launches on a
+    simulated device meets its provider there.
     """
 
     label: str = "kernel"
 
-    @property
-    def duration(self) -> float | None:
-        return None
-
-    def bind(self, provider: PowerProvider) -> "Workload":
-        return self
-
-    def run(self, clock) -> None:
+    def run(self, clock, provider: PowerProvider) -> None:
         raise NotImplementedError
 
 
@@ -158,11 +152,7 @@ class TimedWorkload(Workload):
         if not math.isfinite(self.seconds):
             raise ValueError("workload duration must be finite")
 
-    @property
-    def duration(self) -> float:
-        return self.seconds
-
-    def run(self, clock) -> None:
+    def run(self, clock, provider: PowerProvider) -> None:
         clock.advance(self.seconds)
 
 
@@ -173,7 +163,12 @@ class CallableWorkload(Workload):
     fn: Callable[[], None] = field(repr=False)
     label: str = "kernel"
 
-    def run(self, clock) -> None:
+    def run(self, clock, provider: PowerProvider) -> None:
+        if isinstance(clock, VirtualClock):
+            raise ValueError(
+                f"workload {self.label!r} runs in wall time; "
+                "simulated runs need TimedWorkload or KernelLaunchWorkload"
+            )
         self.fn()
 
 
@@ -186,25 +181,14 @@ class KernelLaunchWorkload(Workload):
     synchronize would observe.
     """
 
-    provider: PowerProvider | None = None
     label: str = "kernel"
 
-    @property
-    def duration(self) -> float:
-        model = self._model()
-        return model.pre_rise_lead + model.kernel_duration
-
-    def _model(self):
-        if self.provider is None or not hasattr(self.provider, "model"):
-            raise ValueError("KernelLaunchWorkload must be bound to a synthetic provider")
-        return self.provider.model
-
-    def bind(self, provider: PowerProvider) -> "KernelLaunchWorkload":
-        return replace(self, provider=provider)
-
-    def run(self, clock) -> None:
-        self.provider.launch(clock.now)
-        clock.advance(self.duration)
+    def run(self, clock, provider: PowerProvider) -> None:
+        model = getattr(provider, "model", None)
+        if model is None:
+            raise ValueError("KernelLaunchWorkload needs a synthetic provider")
+        provider.launch(clock.now)
+        clock.advance(model.pre_rise_lead + model.kernel_duration)
 
 
 @dataclass(frozen=True)
@@ -220,16 +204,11 @@ class EnergyResult:
     label: str = "kernel"
 
 
-def _sampler(provider: PowerProvider, workload: Workload, clock, interval: float | None = None):
+def _sampler(provider: PowerProvider, clock, interval: float | None = None):
     """The sampler a driver runs its block inside: reads every ``interval``
     seconds (SMA) or back to back (MTSM, ``interval=None``), virtual or
     threaded as the clock is."""
     if isinstance(clock, VirtualClock):
-        if workload.duration is None:
-            raise ValueError(
-                f"workload {workload.label!r} has no fixed duration; "
-                "simulated runs need TimedWorkload or KernelLaunchWorkload"
-            )
         return _VirtualSampler(provider, clock, interval)
     return _ThreadedSampler(provider, clock, interval)
 
@@ -450,10 +429,9 @@ def run_sma(
     if not (math.isfinite(lead) and math.isfinite(tail)):
         raise ValueError("lead and tail must be finite")
     clock = clock or VirtualClock()
-    workload = workload.bind(provider)
-    with _sampler(provider, workload, clock, config.interval) as sampler:
+    with _sampler(provider, clock, config.interval) as sampler:
         clock.advance(lead)
-        workload.run(clock)
+        workload.run(clock, provider)
         clock.advance(tail)
     return PowerTrace(sampler.times, sampler.powers)
 
@@ -470,9 +448,8 @@ def run_papi_style(
     before.
     """
     clock = clock or VirtualClock()
-    workload = workload.bind(provider)
     t_start = clock.now
-    workload.run(clock)
+    workload.run(clock, provider)
     t_end = clock.now
     t_read = clock.now
     power = provider.next_sample(t_read)
@@ -504,10 +481,9 @@ def run_mtsm(
     readings times the timed elapsed.
     """
     clock = clock or VirtualClock()
-    workload = workload.bind(provider)
-    with _sampler(provider, workload, clock) as sampler:
+    with _sampler(provider, clock) as sampler:
         t_start = clock.now
-        workload.run(clock)
+        workload.run(clock, provider)
         t_end = clock.now
     times, powers = sampler.times, sampler.powers
     elapsed = t_end - t_start

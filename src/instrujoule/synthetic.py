@@ -65,6 +65,12 @@ class SyntheticModel:
             raise InvalidModel(f"decay_steps must be >= 0, got {self.decay_steps}")
         if not (self.p_idle >= 0 and self.p_kernel >= 0 and self.ramp_mw >= 0):
             raise InvalidModel("power levels must be >= 0")
+        # getattr, not vars(self): materializing the instance dict slows every
+        # later attribute read, and the per-sample profile reads the model
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name != "rng_seed" and not math.isfinite(value):
+                raise InvalidModel(f"{name} must be finite, got {value}")
 
     def window_for_launch(self, t_launch: float) -> KernelWindow:
         start = t_launch + self.pre_rise_lead

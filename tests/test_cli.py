@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from instrujoule import SyntheticModel, load_trace
+from instrujoule import KernelWindow, SyntheticModel, load_trace
 from instrujoule.cli import _build_parser, cli_main
 
 
@@ -95,6 +95,41 @@ class TestMeasure:
         assert code == 1
         assert out == ""
         assert "InvalidModel" in err
+
+    @pytest.mark.parametrize("field", ["idle_tail", "kernel_duration", "p_kernel"])
+    def test_infinite_model_field_exits_1(self, capsys, tmp_path, field):
+        model_path = write_model(tmp_path, **{field: float("inf")})  # written as Infinity
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm", "--provider", f"synth:{model_path}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: InvalidModel: {field} must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "provider, message",
+        [
+            ("replay:", "replay provider needs a file: replay:<trace.csv>"),
+            ("synth:", "synthetic provider needs a model: synth:<model.json>"),
+            ("foo:bar", "unknown provider 'foo:bar'; use replay:<file>, synth:<model.json>, or live"),
+        ],
+    )
+    def test_provider_usage_error_exits_2(self, capsys, provider, message):
+        code, out, err = run_cli(capsys, "measure", "--strategy", "mtsm", "--provider", provider)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_header_only_replay_trace_exits_1(self, capsys, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,power_mw\n")
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "papi",
+            "--provider", f"replay:{trace_path}", "--workload", "synth:1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: MalformedTrace: replay trace {trace_path} has no samples\n"
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -266,6 +301,26 @@ class TestAnalyzeHw:
             "--out", str(tmp_path / "energy.json"),
         )
         assert code == 2
+
+    def test_window_needs_two_bounds(self, capsys, capture_path):
+        code, out, err = run_cli(
+            capsys, "analyze-hw", "--capture", str(capture_path), "--window", "1,2,3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --window must be '<start>,<end>'\n"
+
+    def test_windowed_trace_output(self, capsys, capture_path, tmp_path):
+        # a CSV out with a window is the whole trace, headed by the window comment
+        plain_path, windowed_path = tmp_path / "plain.csv", tmp_path / "windowed.csv"
+        argv = ["analyze-hw", "--capture", str(capture_path)]
+        assert run_cli(capsys, *argv, "--out", str(plain_path))[:2] == (0, "")
+        code, out, _ = run_cli(capsys, *argv, "--window", "1,2", "--out", str(windowed_path))
+        assert (code, out) == (0, "")
+        windowed = windowed_path.read_bytes()
+        assert windowed.startswith(b"# window: 1,2\nt_s,power_mw\n0,135300\n0.001,135300\n")
+        assert windowed == b"# window: 1,2\n" + plain_path.read_bytes()
+        assert load_trace(windowed_path).window == KernelWindow(1.0, 2.0)
 
     def test_missing_shunt_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

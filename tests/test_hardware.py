@@ -164,6 +164,27 @@ class TestCaptureIO:
             assert np.allclose(back.channels[name], capture.channels[name], rtol=1e-8)
 
 
+class TestCaptureValidation:
+    @pytest.mark.parametrize("r_s", [0.0, -0.1, float("nan")])
+    def test_non_positive_shunt(self, r_s):
+        with pytest.raises(MalformedCapture, match="shunt resistance must be > 0"):
+            make_capture(r_s=r_s)
+
+    def test_channel_length_differs_from_timestamps(self):
+        capture = make_capture()
+        channels = dict(capture.channels, v_g2=capture.channels["v_g2"][:-1])
+        with pytest.raises(MalformedCapture, match="channel v_g2 length differs from timestamps"):
+            HwCapture(capture.times, channels, capture.r_s)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_channel_value(self, bad):
+        capture = make_capture()
+        i_clamp = capture.channels["i_clamp"].copy()
+        i_clamp[2] = bad
+        with pytest.raises(MalformedCapture, match="non-finite value in channel i_clamp"):
+            HwCapture(capture.times, dict(capture.channels, i_clamp=i_clamp), capture.r_s)
+
+
 class TestPowerTrace:
     def test_constant_capture_milliwatts(self):
         capture = load_hw_capture(TestCaptureIO.CSV.encode())

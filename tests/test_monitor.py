@@ -322,6 +322,34 @@ class TestInfiniteRunParameters:
             run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
+RUNNERS = {"sma": run_sma, "papi": run_papi_style, "mtsm": run_mtsm}
+
+
+class TestWorkloadGuards:
+    # every strategy meets the workload's guard when it runs the workload
+    @pytest.mark.parametrize("strategy", RUNNERS)
+    def test_wall_time_workload_on_virtual_clock(self, strategy):
+        calls = []
+        workload = CallableWorkload(lambda: calls.append(1), label="x")
+        with pytest.raises(ValueError) as exc:
+            RUNNERS[strategy](ConstantPowerProvider(100.0), workload, clock=VirtualClock())
+        assert str(exc.value) == (
+            "workload 'x' runs in wall time; "
+            "simulated runs need TimedWorkload or KernelLaunchWorkload"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", RUNNERS)
+    def test_kernel_launch_needs_a_synthetic_provider(self, strategy):
+        with pytest.raises(ValueError, match="^KernelLaunchWorkload needs a synthetic provider$"):
+            RUNNERS[strategy](ConstantPowerProvider(100.0), KernelLaunchWorkload(), clock=VirtualClock())
+
+    def test_kernel_launch_guard_under_threaded_mtsm(self):
+        # the sampler thread is joined on the way out (see conftest)
+        with pytest.raises(ValueError, match="KernelLaunchWorkload needs a synthetic provider"):
+            run_mtsm(ConstantPowerProvider(100.0), KernelLaunchWorkload(), clock=RealClock())
+
+
 class TestResultFieldsArePythonFloats:
     """Results hold Python floats, never numpy scalars, whose repr differs."""
 

@@ -50,6 +50,25 @@ class TestModelValidation:
             SyntheticModel(**{field: float("nan")}).validate()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "p_idle", "p_kernel", "pre_rise_lead", "kernel_duration", "decay_steps",
+            "decay_step_duration", "noise_stddev", "sample_rate", "idle_lead",
+            "idle_tail", "ramp_mw",
+        ],
+    )
+    def test_infinity_rejected(self, field):
+        # infinity passes every `> 0` and `>= 0` check, so finiteness is its own
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(**{field: float("inf")}).validate()
+        assert str(exc.value) == f"{field} must be finite, got inf"
+
+    def test_synthesize_rejects_infinite_idle_tail(self):
+        # past the check, the grid size overflows
+        with pytest.raises(InvalidModel, match="idle_tail must be finite"):
+            synthesize(SyntheticModel(idle_tail=float("inf")))
+
     def test_synthesize_rejects_nan_sample_rate(self):
         with pytest.raises(InvalidModel):
             synthesize(SyntheticModel(sample_rate=float("nan")))

@@ -80,6 +80,21 @@ class TestLoadTrace:
         with pytest.raises(MalformedTrace):
             load_trace("/nonexistent/trace.csv")
 
+    @pytest.mark.parametrize(
+        "comment, message",
+        [
+            ("# window: 1.0", "window comment needs 'start,end', got '1.0'"),
+            ("# window: a,1.0", "unparsable window bounds 'a,1.0'"),
+            ("# window: 1.0,1.0", "window end 1.0 must exceed start 1.0"),
+            ("# window: 2.0,1.0", "window end 1.0 must exceed start 2.0"),
+        ],
+    )
+    def test_bad_window_comment_reports_line(self, comment, message):
+        with pytest.raises(MalformedTrace) as exc:
+            load_trace(f"{comment}\nt_s,power_mw\n0.0,100\n".encode())
+        assert exc.value.line == 1
+        assert str(exc.value) == f"line 1: {message}"
+
     def test_header_only_is_empty_trace(self):
         trace = load_trace(b"t_s,power_mw\n")
         assert len(trace) == 0
