@@ -42,8 +42,9 @@ def _check_times(t: np.ndarray, error: type) -> None:
     """Raise ``error`` unless the timestamps ``t`` are finite and strictly increasing."""
     if t.size and not np.all(np.isfinite(t)):
         raise error("non-finite timestamp")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        idx = int(np.argmax(np.diff(t) <= 0))
+    # compared in place: np.diff would add 8 bytes a row to a CSV load's peak
+    if t.size > 1 and not np.all(t[1:] > t[:-1]):
+        idx = int(np.argmax(t[1:] <= t[:-1]))
         raise error(f"timestamps not strictly increasing at index {idx + 1}")
 
 

@@ -107,6 +107,24 @@ class TestMeasure:
         assert err == f"error: InvalidModel: {field} must be finite, got inf\n"
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rng_seed", 1.5, "rng_seed must be a non-negative integer, got 1.5"),
+            ("rng_seed", -1, "rng_seed must be a non-negative integer, got -1"),
+            ("rng_seed", True, "rng_seed must be a number, got True"),
+            ("p_idle", "5", "p_idle must be a number, got '5'"),
+        ],
+    )
+    def test_mistyped_model_field_exits_1(self, capsys, tmp_path, field, value, message):
+        model_path = write_model(tmp_path, **{field: value})
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm", "--provider", f"synth:{model_path}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: InvalidModel: {message}\n"
+
+    @pytest.mark.parametrize(
         "provider, message",
         [
             ("replay:", "replay provider needs a file: replay:<trace.csv>"),

@@ -1,0 +1,179 @@
+"""Loads that span many chunks, from a path and from the same bytes.
+
+A plain path source is held as its first block only and parsed from the open
+file a chunk of lines at a time; bytes and streams go through the same chunk
+loop over what they hold. The chunk constants are shrunk here so that short
+files span many chunks and blocks. Whatever the source, a load must give
+bit-identical columns, or the same error class, message and line.
+"""
+
+import io
+import pathlib
+
+import numpy as np
+import pytest
+
+from instrujoule import MalformedCapture, MalformedTrace, load_hw_capture, load_trace
+from instrujoule import _csv
+
+ROWS_PER_CHUNK = 4
+BLOCK = 64
+H = "t_s,power_mw\n"
+C = "# r_s_ohm: 0.1\nt_s,v_s1,v_g1,v_s2,v_g2,i_clamp_a,v_dps\n"
+
+
+def _rows(n: int, start: int = 0) -> list[str]:
+    return [f"{i * 1e-3:.9g},{100 + 7 * i}.25\n" for i in range(start, start + n)]
+
+
+def _with(rows: list[str], at: int, line: str) -> str:
+    return H + "".join(rows[:at] + [line] + rows[at + 1:])
+
+
+ROWS = _rows(22)  # lines 2-23, chunks of rows 0-3, 4-7, ..., 20-21
+
+TRACES = {
+    "many chunks": H + "".join(ROWS),
+    "bad value in the first chunk": _with(ROWS, 1, "0.001,abc\n"),
+    "bad value in a middle chunk": _with(ROWS, 10, "0.01,1e\n"),
+    "bad value in the last chunk": _with(ROWS, 21, "0.021,nan\n"),
+    "negative power in the last chunk": _with(ROWS, 20, "0.02,-1\n"),
+    "wrong width in a middle chunk": _with(ROWS, 9, "0.009,1,2\n"),
+    "timestamp falls across a chunk boundary": _with(ROWS, 4, "0.0025,1\n"),
+    "timestamp repeats across a chunk boundary": _with(ROWS, 8, "0.007,1\n"),
+    "final line with no newline": H + "".join(ROWS)[:-1],
+    "final line with no newline, bad": H + "".join(ROWS) + "0.1,x",
+    "a chunk of only blank lines": H + "".join(ROWS[:3]) + "\n" * 9 + "".join(ROWS[3:]),
+    "trailing blank lines": H + "".join(ROWS) + "\n" * 9,
+    "only blank lines": H + "\n" * 9,
+    "blank lines past a bad value": _with(ROWS, 6, "0.006,?\n") + "\n" * 9,
+    "whitespace-only line": _with(ROWS, 13, " \t\n"),
+    "window comment longer than a block": (
+        "# window:" + " " * 2 * BLOCK + "0.002,0.004\n" + H + "".join(ROWS)
+    ),
+    "header after the first block": "#" * 2 * BLOCK + "\n" + H + "".join(ROWS),
+    "crlf": (H + "".join(ROWS)).replace("\n", "\r\n"),
+    "crlf, bad value": _with(ROWS, 17, "0.017,x\n").replace("\n", "\r\n"),
+    "non-ascii in a late row": _with(ROWS, 18, "0.018,\xa05\n"),
+    "unit separator in a late row": _with(ROWS, 18, "0.018,\x1f5\n"),
+    "file separator in a comment": "# window: 0.001,0.002\x1c\n" + H + "".join(ROWS),
+    "header only": H,
+    "header only, no newline": H[:-1],
+    "empty": "",
+}
+
+CAPTURE_ROWS = [f"{i * 2e-4:.9g},12.1,12,3.4,3.3,1{i},12\n" for i in range(19)]
+
+CAPTURES = {
+    "many chunks": C + "".join(CAPTURE_ROWS),
+    "bad value in a middle chunk": C + "".join(
+        CAPTURE_ROWS[:9] + ["0.0018,12.1,12,3.4,inf,19,12\n"] + CAPTURE_ROWS[10:]),
+    "short row in the last chunk": C + "".join(CAPTURE_ROWS) + "0.01,1,2\n",
+}
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(_csv, "_READ_ROWS", ROWS_PER_CHUNK)
+    monkeypatch.setattr(_csv, "_BLOCK", BLOCK)
+
+
+def _outcome(load, source):
+    try:
+        result = load(source)
+    except (MalformedTrace, MalformedCapture) as exc:
+        return type(exc).__name__, str(exc), exc.line
+    columns = [result.times] + (
+        [result.powers] if hasattr(result, "powers") else list(result.channels.values())
+    )
+    extra = getattr(result, "window", None) or getattr(result, "r_s", None)
+    return [(c.flags.c_contiguous, c.tobytes()) for c in columns], extra
+
+
+def _sources(text: str, tmp_path) -> list:
+    data = text.encode("utf-8")
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    return [path, str(path), data, io.BytesIO(data)]
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_trace_from_a_path_loads_as_its_bytes(name, tmp_path):
+    outcomes = [_outcome(load_trace, s) for s in _sources(TRACES[name], tmp_path)]
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURES))
+def test_capture_from_a_path_loads_as_its_bytes(name, tmp_path):
+    outcomes = [_outcome(load_hw_capture, s) for s in _sources(CAPTURES[name], tmp_path)]
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
+def test_chunked_columns_are_the_scanned_values(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACES["a chunk of only blank lines"])
+    trace = load_trace(path)
+    expected = [[float(v) for v in row.split(",")] for row in ROWS]
+    assert trace.times.tolist() == [t for t, _ in expected]
+    assert trace.powers.tolist() == [p for _, p in expected]
+
+
+@pytest.mark.parametrize("name, line", [
+    ("bad value in the first chunk", 3),
+    ("bad value in a middle chunk", 12),
+    ("bad value in the last chunk", 23),
+    ("timestamp falls across a chunk boundary", 6),
+    ("timestamp repeats across a chunk boundary", 10),
+    ("final line with no newline, bad", 24),
+])
+def test_error_lines(name, line, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACES[name])
+    with pytest.raises(MalformedTrace) as exc:
+        load_trace(path)
+    assert exc.value.line == line
+
+
+def _count_whole_reads(monkeypatch) -> list:
+    reads = []
+    read_bytes = pathlib.Path.read_bytes
+
+    def counted(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted)
+    return reads
+
+
+def test_a_plain_path_is_never_read_whole(monkeypatch, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACES["trailing blank lines"])
+    reads = _count_whole_reads(monkeypatch)
+    assert len(load_trace(path)) == len(ROWS)
+    assert reads == []
+
+
+@pytest.mark.parametrize("name", [
+    "bad value in a middle chunk", "window comment longer than a block", "crlf",
+])
+def test_a_failed_check_or_a_long_head_reads_the_path_again(name, monkeypatch, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(TRACES[name].encode())
+    reads = _count_whole_reads(monkeypatch)
+    try:
+        load_trace(path)
+    except MalformedTrace:
+        pass
+    assert reads == [path]
+
+
+def test_a_failed_chunk_scans_from_the_body_start(tmp_path):
+    # the numpy pass fails on the last chunk; the scan accepts the whole body,
+    # underscores included, and its columns replace the partial ones
+    text = _with(ROWS, 21, "0.021,1_0\n")
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    trace = load_trace(path)
+    assert trace.powers.tolist()[-1] == 10.0
+    assert np.array_equal(trace.times, [float(r.split(",")[0]) for r in ROWS])

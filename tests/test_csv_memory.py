@@ -1,8 +1,9 @@
 """Peak memory of the capture CSV codec, as tracemalloc sees it.
 
-tracemalloc traces numpy's buffers as well as Python objects. Loading parses
-the file's bytes in place, so its peak is at most the file size plus twice
-the parsed arrays; a whole-file text copy would break the bound. Saving
+tracemalloc traces numpy's buffers as well as Python objects. Loading from a
+path parses the file a chunk of lines at a time into columns allocated once,
+so the peak is the arrays plus a fixed amount, whatever the row count; a
+whole-file copy of the text, or of the parsed rows, breaks both bounds. Saving
 formats and writes one chunk of rows at a time, numpy temporaries included,
 so its peak is set by the chunk size, not by the row count, for captures and
 traces alike; and the vector formatting pass frees each of its temporaries
@@ -48,6 +49,20 @@ def test_load_peak_is_bounded_by_the_arrays(tmp_path):
     array_bytes = ROWS * (1 + len(CHANNELS)) * 8
     peak = _peak(lambda: load_hw_capture(path))
     assert peak <= 4 * array_bytes, f"{peak / array_bytes:.2f}x the parsed arrays"
+
+
+def test_path_load_peak_beyond_the_arrays_does_not_grow_with_rows(tmp_path):
+    excess = {}
+    for n in (ROWS, 4 * ROWS):
+        path = tmp_path / f"capture{n}.csv"
+        save_hw_capture(_capture(n), path)
+        array_bytes = n * (1 + len(CHANNELS)) * 8
+        peak = _peak(lambda: load_hw_capture(path))
+        excess[n] = peak - array_bytes
+    # 200k rows hold 11.2 MB of arrays; the load peaks about 0.3 MB above
+    # them, where a whole-file parse and a transposed copy peaked 14.2 MB above
+    assert peak <= 1.3 * array_bytes, f"{peak / array_bytes:.2f}x the parsed arrays"
+    assert excess[4 * ROWS] <= 1.25 * excess[ROWS], excess
 
 
 @pytest.mark.parametrize("kind", ["capture", "trace"])

@@ -64,6 +64,33 @@ class TestModelValidation:
             SyntheticModel(**{field: float("inf")}).validate()
         assert str(exc.value) == f"{field} must be finite, got inf"
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.5, "rng_seed must be a non-negative integer, got 1.5"),
+            (1.0, "rng_seed must be a non-negative integer, got 1.0"),
+            (float("inf"), "rng_seed must be a non-negative integer, got inf"),
+            (-1, "rng_seed must be a non-negative integer, got -1"),
+            (True, "rng_seed must be a number, got True"),
+            ("3", "rng_seed must be a number, got '3'"),
+        ],
+    )
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(rng_seed=seed).validate()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["p_idle", "kernel_duration", "decay_steps", "ramp_mw"])
+    @pytest.mark.parametrize("value", ["5", None, False])
+    def test_non_number_rejected(self, field, value):
+        # a string would meet a bare TypeError in the range checks, and a bool pass them
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(**{field: value}).validate()
+        assert str(exc.value) == f"{field} must be a number, got {value!r}"
+
+    def test_numpy_numbers_accepted(self):
+        SyntheticModel(rng_seed=np.int64(3), decay_steps=np.int64(2), p_idle=np.float64(1.0)).validate()
+
     def test_synthesize_rejects_infinite_idle_tail(self):
         # past the check, the grid size overflows
         with pytest.raises(InvalidModel, match="idle_tail must be finite"):
