@@ -11,16 +11,13 @@ non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9) is
 formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
 than a quarter of the rows hold such a value, are formatted by ``%`` alone.
 
-Reads parse the body with ``np.loadtxt`` 2048 lines at a time, checking each
-chunk and copying it into one ``(width, n)`` array allocated once from the
-line count, which a first pass in 32 KiB blocks takes while it checks that
-the text is plain (ASCII, with no character that the scan and numpy split or
-strip differently). A plain path larger than one block is parsed from the
-open file, so neither its whole text nor a whole parse
-result is ever held, and the peak is the arrays plus about 0.3 MB. Bytes and
-streams go through the same loop over the text they hold. On any failure a
-line-by-line scan of the whole text (a path is read again) accepts exactly
-what ``float()`` accepts and reports the offending line.
+Reads hold their source as one seekable binary stream: a path's open file, or
+a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
+counts its lines and checks that the text is plain (ASCII, with no character
+that the scan and numpy split or strip differently). ``np.loadtxt`` parses
+the body 2048 lines at a time into one ``(width, n)`` array allocated once,
+checking each chunk; on any failure a line-by-line scan of the body accepts
+exactly what ``float()`` accepts and reports the offending line.
 """
 
 from __future__ import annotations
@@ -185,82 +182,76 @@ def write(sink, head: list[str], columns) -> None:
         sink.write(chunk if text else chunk.encode("utf-8"))
 
 
-def _survey(f) -> tuple[bytes | None, int]:
-    """The binary stream's first block and its number of lines, read block by
-    block, or ``(None, 0)`` as soon as a block is not plain."""
-    lines, last = 0, b"\n"
-    head = block = f.read(_BLOCK)
-    while block:
-        if not block.isascii() or any(c in block for c in _NOT_PLAIN):
-            return None, 0
+def _survey(f) -> int | None:
+    """The binary stream's line count, or None if its text is not plain; rewinds it."""
+    lines, last, plain = 0, b"\n", True
+    while plain and (block := f.read(_BLOCK)):
+        plain = block.isascii() and not any(c in block for c in _NOT_PLAIN)
         # numpy counts about four times as fast as bytes.count
         lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        last, block = block[-1:], f.read(_BLOCK)
-    return head, int(lines) + (last != b"\n")
+        last = block[-1:]
+    f.seek(0)
+    return int(lines) + (last != b"\n") if plain else None
 
 
 class Reader:
     """Cursor over one CSV source: comments, then the header and rows.
-    Errors are ``error_cls(message, line)``.
-
-    The text is first read block by block to check that it is plain and to
-    count its lines. A plain path larger than one block is held only as its
-    first block, and its body is parsed from the open file. Any other source
-    is held whole: bytes and streams as given, and a path whose text is not
-    plain as ``Path.read_text`` would give it, line ends translated."""
+    Errors are ``error_cls(message, line)``. A context manager: the source is
+    one binary stream, open until the ``with`` block ends. Text that is not
+    plain is held again with its line ends translated as ``Path.read_text``
+    does, whatever the source; text still not plain, as the scan's lines."""
 
     def __init__(self, source, error_cls):
-        self._error, self._pos, self._line_no, self._path = error_cls, 0, 1, None
+        self._error, self._line_no, errors = error_cls, 1, "strict"
         if isinstance(source, (str, Path)):
             path = Path(source)
             if not path.exists():
                 raise error_cls(f"no such file: {path}")
-            with path.open("rb") as f:
-                head, self._lines = _survey(f)
-            if head is not None:
-                self._data, self._plain = head, True
-                self._path = path if len(head) == _BLOCK else None
-                return
-            data = path.read_bytes()
-            if b"\r" in data:  # end lines as Path.read_text does, so CRLF files stay plain
-                data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            # a file read through the default 8 KiB buffer yields its lines half as fast as BytesIO
+            self._f = path.open("rb", _BLOCK)
         else:
             data = source if isinstance(source, bytes) else source.read()
-        if isinstance(data, str) and data.isascii():
-            data = data.encode("ascii")
-        # numpy parses only text whose lines and fields it splits as the scan does
-        head, self._lines = _survey(io.BytesIO(data)) if isinstance(data, bytes) else (None, 0)
-        self._plain = head is not None
-        if not self._plain:
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
-            # the scan's lines, each ended with "\n" as a path's translated line ends are;
-            # surrogatepass keeps any str a text stream gave
-            data = "".join(l + "\n" for l in text.splitlines()).encode("utf-8", "surrogatepass")
-        self._data = data
+            if isinstance(data, str):  # surrogatepass keeps any str a text stream gave
+                data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
+            self._f = io.BytesIO(data)
+        try:
+            self._lines = _survey(self._f)
+            if self._lines is None:
+                # Path.read_text's line ends; no UTF-8 sequence holds a CR or LF byte
+                data = self._f.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                self._f.close()
+                self._f = io.BytesIO(data)
+                # numpy parses only text whose lines and fields it splits as the scan does
+                self._lines = _survey(self._f)
+            if self._lines is None:
+                # the scan's lines, each ended with "\n" as translated line ends are
+                lines = "".join(l + "\n" for l in data.decode("utf-8", errors).splitlines())
+                self._f = io.BytesIO(lines.encode("utf-8", "surrogatepass"))
+        except BaseException:
+            self._f.close()
+            raise
 
-    def _read_whole(self) -> None:
-        # a streamed path holds only its first block until a line or the scan needs more
-        if self._path is not None:
-            self._data, self._path = self._path.read_bytes(), None
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._f.close()
 
     def _next_line(self) -> str | None:
-        if self._data.find(b"\n", self._pos) < 0:
-            self._read_whole()
-        data, pos = self._data, self._pos
-        if pos >= len(data):
+        line = self._f.readline()
+        if not line:
             return None
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        self._pos, self._line_no = end + 1, self._line_no + 1
-        return data[pos:end].decode("utf-8", "surrogatepass")
+        self._line_no += 1
+        return line.removesuffix(b"\n").decode("utf-8", "surrogatepass")
 
     def comments(self, limit: int | None = None) -> list[str]:
         """The leading lines that start with ``#``, at most ``limit`` of them."""
         out = []
         while limit is None or len(out) < limit:
-            if self._pos >= len(self._data):
-                self._read_whole()
-            if not self._data.startswith(b"#", self._pos):
+            at = self._f.tell()
+            first = self._f.read(1)
+            self._f.seek(at)
+            if first != b"#":
                 break
             out.append(self._next_line())
         return out
@@ -274,29 +265,30 @@ class Reader:
         got = "<end of file>" if line is None else line.strip()
         if got != header:
             raise self._error(f"expected header '{header}', got '{got}'", line_no)
+        body = self._f.tell()
         cols = self._loadtxt(width, nonnegative)
-        return self._scan(width, width_message, nonnegative) if cols is None else cols
+        if cols is None:
+            self._f.seek(body)
+            cols = self._scan(width, width_message, nonnegative)
+        return cols
 
     def _loadtxt(self, width, nonnegative) -> np.ndarray | None:
         """The body parsed by numpy a chunk of lines at a time into one array
         sized by the line count, or None when numpy cannot parse it or a check
         fails."""
-        if not self._plain:
+        if self._lines is None:
             return None
         # the lines left: each line read so far ended with "\n" or was the last
         n = self._lines - (self._line_no - 1)
         out = np.empty((width, n))
         filled, last = 0, -math.inf
-        # a file read through the default 8 KiB buffer yields its lines half as fast as BytesIO
-        body = io.BytesIO(self._data) if self._path is None else self._path.open("rb", _BLOCK)
-        with body, warnings.catch_warnings():
+        with warnings.catch_warnings():
             # loadtxt warns of a chunk that is all blank lines, which holds no row
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body.seek(self._pos)
             for _ in range(0, n, _READ_ROWS):
                 try:
                     rows = np.loadtxt(
-                        itertools.islice(body, _READ_ROWS),
+                        itertools.islice(self._f, _READ_ROWS),
                         delimiter=",", comments=None, dtype=np.float64, ndmin=2,
                     )
                 except ValueError:
@@ -318,9 +310,8 @@ class Reader:
         return out if filled == n else np.ascontiguousarray(out[:, :filled])
 
     def _scan(self, width, width_message, nonnegative) -> np.ndarray:
-        self._read_whole()
         error, rows = self._error, []
-        body = self._data[self._pos:].decode("utf-8", "surrogatepass")
+        body = self._f.read().decode("utf-8", "surrogatepass")
         for line_no, line in enumerate(body.splitlines(), self._line_no):
             line = line.strip()
             if not line:

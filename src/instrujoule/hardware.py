@@ -124,17 +124,17 @@ def save_hw_capture(capture: HwCapture, sink) -> None:
 def load_hw_capture(source) -> HwCapture:
     """Parse a capture CSV. MissingShunt if the r_s comment is absent;
     MalformedCapture (with line number) for format or invariant violations."""
-    reader = _csv.Reader(source, MalformedCapture)
-    r_s = None
-    for line_no, line in enumerate(reader.comments(), 1):
-        body = line.lstrip("#").strip()
-        if body.startswith("r_s_ohm:"):
-            payload = body[len("r_s_ohm:"):].strip()
-            try:
-                r_s = float(payload)
-            except ValueError:
-                raise MalformedCapture(f"unparsable shunt value '{payload}'", line_no) from None
-    if r_s is None:
-        raise MissingShunt("capture has no '# r_s_ohm: <value>' comment")
-    times, *cols = reader.rows(_HEADER, 7, "expected 7 fields, got {fields}")
+    with _csv.Reader(source, MalformedCapture) as reader:
+        r_s = None
+        for line_no, line in enumerate(reader.comments(), 1):
+            body = line.lstrip("#").strip()
+            if body.startswith("r_s_ohm:"):
+                payload = body[len("r_s_ohm:"):].strip()
+                try:
+                    r_s = float(payload)
+                except ValueError:
+                    raise MalformedCapture(f"unparsable shunt value '{payload}'", line_no) from None
+        if r_s is None:
+            raise MissingShunt("capture has no '# r_s_ohm: <value>' comment")
+        times, *cols = reader.rows(_HEADER, 7, "expected 7 fields, got {fields}")
     return HwCapture(times, dict(zip(_CHANNELS, cols)), r_s)

@@ -15,6 +15,7 @@ oracle for the measurement strategies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -81,8 +82,14 @@ class SyntheticModel:
             raise InvalidModel("power levels must be >= 0")
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, _INTEGER):
+                # numpy takes a seed of any size; no other int may overflow a float
+                if name != "rng_seed" and abs(value) > sys.float_info.max:
+                    raise InvalidModel(f"{name} is too large for a float")
+            elif not math.isfinite(value):
                 raise InvalidModel(f"{name} must be finite, got {value}")
+        if not isinstance(self.decay_steps, _INTEGER):
+            raise InvalidModel(f"decay_steps must be an integer, got {self.decay_steps!r}")
 
     def window_for_launch(self, t_launch: float) -> KernelWindow:
         start = t_launch + self.pre_rise_lead

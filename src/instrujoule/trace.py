@@ -124,12 +124,12 @@ def load_trace(source) -> PowerTrace:
     Raises MalformedTrace (with the offending line number) on a bad header,
     unparsable numbers, non-monotonic timestamps, or negative power.
     """
-    reader = _csv.Reader(source, MalformedTrace)
-    comments = reader.comments(limit=1)
-    window = _parse_window_comment(comments[0], 1) if comments else None
-    times, powers = reader.rows(
-        _HEADER, 2, "expected 't,power', got '{line}'", nonnegative=(1, "negative power")
-    )
+    with _csv.Reader(source, MalformedTrace) as reader:
+        comments = reader.comments(limit=1)
+        window = _parse_window_comment(comments[0], 1) if comments else None
+        times, powers = reader.rows(
+            _HEADER, 2, "expected 't,power', got '{line}'", nonnegative=(1, "negative power")
+        )
     return PowerTrace(times, powers, window)
 
 

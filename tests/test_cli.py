@@ -113,6 +113,8 @@ class TestMeasure:
             ("rng_seed", -1, "rng_seed must be a non-negative integer, got -1"),
             ("rng_seed", True, "rng_seed must be a number, got True"),
             ("p_idle", "5", "p_idle must be a number, got '5'"),
+            pytest.param("p_idle", 10**400, "p_idle is too large for a float", id="p_idle-401-digits"),
+            ("decay_steps", 2.5, "decay_steps must be an integer, got 2.5"),
         ],
     )
     def test_mistyped_model_field_exits_1(self, capsys, tmp_path, field, value, message):

@@ -1,9 +1,9 @@
 """Loads that span many chunks, from a path and from the same bytes.
 
-A plain path source is held as its first block only and parsed from the open
-file a chunk of lines at a time; bytes and streams go through the same chunk
-loop over what they hold. The chunk constants are shrunk here so that short
-files span many chunks and blocks. Whatever the source, a load must give
+Every source is held as one binary stream, a path as its open file and bytes
+and streams as a ``BytesIO``, and its body is parsed from that stream a chunk
+of lines at a time. The chunk constants are shrunk here so that short files
+span many chunks and blocks. Whatever the source, a load must give
 bit-identical columns, or the same error class, message and line.
 """
 
@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from instrujoule import MalformedCapture, MalformedTrace, load_hw_capture, load_trace
+from instrujoule import MalformedCapture, MalformedTrace, MissingShunt, load_hw_capture, load_trace
 from instrujoule import _csv
 
 ROWS_PER_CHUNK = 4
@@ -154,18 +154,70 @@ def test_a_plain_path_is_never_read_whole(monkeypatch, tmp_path):
     assert reads == []
 
 
+def _record_opens(monkeypatch) -> list:
+    handles = []
+    open_ = pathlib.Path.open
+
+    def recorded(self, *args, **kwargs):
+        handles.append(open_(self, *args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(pathlib.Path, "open", recorded)
+    return handles
+
+
 @pytest.mark.parametrize("name", [
-    "bad value in a middle chunk", "window comment longer than a block", "crlf",
+    "many chunks", "bad value in a middle chunk", "window comment longer than a block", "crlf",
 ])
-def test_a_failed_check_or_a_long_head_reads_the_path_again(name, monkeypatch, tmp_path):
+def test_a_path_is_opened_once_and_closed(name, monkeypatch, tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(TRACES[name].encode())
-    reads = _count_whole_reads(monkeypatch)
+    reads, handles = _count_whole_reads(monkeypatch), _record_opens(monkeypatch)
     try:
         load_trace(path)
     except MalformedTrace:
         pass
-    assert reads == [path]
+    assert reads == []
+    assert len(handles) == 1 and handles[0].closed
+
+
+FAILED_LOADS = {
+    "bad header": (load_trace, "t,p\n" + "".join(ROWS)),
+    "bad window comment": (load_trace, "# window: 0.002\n" + H + "".join(ROWS)),
+    "bad value in a middle chunk": (load_trace, TRACES["bad value in a middle chunk"]),
+    "missing shunt": (load_hw_capture, CAPTURES["many chunks"].split("\n", 1)[1]),
+    "unparsable shunt value": (
+        load_hw_capture, CAPTURES["many chunks"].replace("r_s_ohm: 0.1", "r_s_ohm: x")),
+    "bad capture value in a middle chunk": (load_hw_capture, CAPTURES["bad value in a middle chunk"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_LOADS))
+def test_a_failed_path_load_leaves_no_handle_open(name, monkeypatch, tmp_path):
+    load, text = FAILED_LOADS[name]
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    handles = _record_opens(monkeypatch)
+    with pytest.raises((MalformedTrace, MalformedCapture, MissingShunt)):
+        load(path)
+    assert len(handles) == 1 and handles[0].closed
+
+
+@pytest.mark.parametrize("name", [
+    "many chunks", "a chunk of only blank lines", "window comment longer than a block",
+])
+def test_crlf_bytes_and_streams_take_the_numpy_pass(name, monkeypatch, tmp_path):
+    path = tmp_path / "lf.csv"
+    path.write_text(TRACES[name])
+    expected = _outcome(load_trace, path)
+    crlf = TRACES[name].replace("\n", "\r\n")
+
+    def no_scan(*args):
+        raise AssertionError("the line scan ran")
+
+    monkeypatch.setattr(_csv.Reader, "_scan", no_scan)
+    sources = [crlf.encode(), io.BytesIO(crlf.encode()), io.StringIO(crlf)]
+    assert [_outcome(load_trace, s) for s in sources] == [expected] * 3
 
 
 def test_a_failed_chunk_scans_from_the_body_start(tmp_path):

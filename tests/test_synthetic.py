@@ -13,6 +13,13 @@ from instrujoule import (
 )
 
 
+# every model field but rng_seed, which takes an integer of any size
+NON_SEED_FIELDS = [
+    "p_idle", "p_kernel", "pre_rise_lead", "kernel_duration", "decay_steps",
+    "decay_step_duration", "noise_stddev", "sample_rate", "idle_lead", "idle_tail", "ramp_mw",
+]
+
+
 class TestModelValidation:
     def test_defaults_valid(self):
         SyntheticModel().validate()
@@ -50,14 +57,7 @@ class TestModelValidation:
             SyntheticModel(**{field: float("nan")}).validate()
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize(
-        "field",
-        [
-            "p_idle", "p_kernel", "pre_rise_lead", "kernel_duration", "decay_steps",
-            "decay_step_duration", "noise_stddev", "sample_rate", "idle_lead",
-            "idle_tail", "ramp_mw",
-        ],
-    )
+    @pytest.mark.parametrize("field", NON_SEED_FIELDS)
     def test_infinity_rejected(self, field):
         # infinity passes every `> 0` and `>= 0` check, so finiteness is its own
         with pytest.raises(InvalidModel) as exc:
@@ -87,6 +87,24 @@ class TestModelValidation:
         with pytest.raises(InvalidModel) as exc:
             SyntheticModel(**{field: value}).validate()
         assert str(exc.value) == f"{field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("field", NON_SEED_FIELDS)
+    def test_int_too_large_for_a_float_rejected(self, field):
+        # math.isfinite raises OverflowError on such an int
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(**{field: 10**400}).validate()
+        assert str(exc.value) == f"{field} is too large for a float"
+
+    def test_seed_of_any_size_accepted(self):
+        # np.random.default_rng takes any non-negative int
+        trace, _ = synthesize(SyntheticModel(rng_seed=10**400, kernel_duration=0.01, noise_stddev=5.0))
+        assert np.isfinite(trace.powers).all()
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, np.float64(3.0)])
+    def test_fractional_decay_steps_rejected(self, steps):
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel(decay_steps=steps).validate()
+        assert str(exc.value) == f"decay_steps must be an integer, got {steps!r}"
 
     def test_numpy_numbers_accepted(self):
         SyntheticModel(rng_seed=np.int64(3), decay_steps=np.int64(2), p_idle=np.float64(1.0)).validate()
