@@ -47,7 +47,7 @@ from .monitor import (
 from .providers import ReplayProvider, SyntheticDeviceProvider
 from .report import load_reference_table, render_table, emit_plot_data
 from .synthetic import SyntheticModel
-from .trace import KernelWindow, load_trace, save_trace
+from .trace import KernelWindow, PowerTrace, load_trace, save_trace
 
 
 def _write_out(text: str, out: str) -> None:
@@ -126,8 +126,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_provider(arg: str):
-    """Returns (provider, model_or_none, clock_start)."""
+def _parse_provider(arg: str) -> PowerTrace | SyntheticModel:
+    """The trace a replay provider plays, or the model a simulated device follows."""
     kind, _, payload = arg.partition(":")
     if kind == "replay":
         if not payload:
@@ -135,13 +135,12 @@ def _parse_provider(arg: str):
         trace = load_trace(payload)
         if len(trace) == 0:
             raise MalformedTrace(f"replay trace {payload} has no samples")
-        return ReplayProvider(trace), None, float(trace.times[0])
+        return trace
     if kind == "synth":
         if not payload:
             raise _Usage("synthetic provider needs a model: synth:<model.json>")
         data = json.loads(Path(payload).read_text(encoding="utf-8"))
-        model = SyntheticModel.from_dict(data)
-        return SyntheticDeviceProvider(model), model, 0.0
+        return SyntheticModel.from_dict(data)
     if kind == "live":
         raise SensorUnavailable(
             "no live sensor adapter is bundled; use replay or synthetic providers"
@@ -150,8 +149,10 @@ def _parse_provider(arg: str):
 
 
 def _cmd_measure(args) -> int:
-    provider, model, clock_start = _parse_provider(args.provider)
-    clock = VirtualClock(start=clock_start, read_cost=args.read_cost)
+    source = _parse_provider(args.provider)
+    synthetic = isinstance(source, SyntheticModel)
+    start = 0.0 if synthetic else float(source.times[0])
+    clock = VirtualClock(start=start, read_cost=args.read_cost)
 
     workload_arg = args.workload
     seconds = None
@@ -166,16 +167,17 @@ def _cmd_measure(args) -> int:
     else:
         label = label or workload_arg
 
-    if model is not None:
-        if seconds is not None and seconds != model.kernel_duration:
-            model = dataclasses.replace(model, kernel_duration=seconds)
-            provider = SyntheticDeviceProvider(model)
+    if synthetic:
+        if seconds is not None and seconds != source.kernel_duration:
+            source = dataclasses.replace(source, kernel_duration=seconds)
+        provider = SyntheticDeviceProvider(source)
         workload = KernelLaunchWorkload(label=label)
     else:
         if seconds is None:
             raise _Usage(
                 "replay providers need an explicit duration: --workload synth:<secs>"
             )
+        provider = ReplayProvider(source)
         workload = TimedWorkload(seconds, label=label)
 
     strategy = Strategy(args.strategy)

@@ -16,10 +16,9 @@ results. Three implementations ship with the toolkit:
                       grid is one ``np.full``;
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
-                      profile, then plateau / ramp / stepped decay. Each
-                      read takes the next value of one seeded noise stream,
-                      drawn from the generator in blocks; it reads a grid
-                      time by time.
+                      profile, then plateau / ramp / stepped decay. A grid
+                      draws its noise in one generator call, and a read is a
+                      one-point grid.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -30,6 +29,8 @@ may drive an instance. Create a fresh provider per measurement run.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -99,40 +100,29 @@ class SyntheticDeviceProvider(PowerProvider):
     instant; afterwards the profile is a pure function of time, so sampling
     order does not matter. Per-reading Gaussian noise is one stream from a
     generator seeded by the model, making any deterministic sampling
-    schedule bit-reproducible. The stream is drawn in blocks that double
-    from 16 to 4096 values, and reads take its values in order: a block of
-    n draws equals n single draws, so each reading is what drawing its noise
-    alone would give.
+    schedule bit-reproducible: a grid of n times draws n values in one call,
+    and n draws in one call equal n single draws, so each reading is what
+    drawing its noise alone would give.
     """
 
-    _first_block = 16
-    _max_block = 4096
-
     def __init__(self, model: SyntheticModel):
-        model.validate()
         self.model = model
         self._rng = np.random.default_rng(model.rng_seed)
-        self._t_launch: float | None = None
-        self._noise: list[float] = []  # drawn, not yet read; the next one is last
-        self._block = self._first_block
+        self._t_launch = math.inf
 
     def launch(self, t: float) -> None:
-        if self._t_launch is not None:
+        if self._t_launch != math.inf:
             raise RuntimeError("provider already launched; use a fresh instance per run")
         self._t_launch = float(t)
 
     def next_sample(self, t: float) -> float:
-        if self._t_launch is None:
-            p = float(self.model.p_idle)
-        else:
-            p = _scalar_power(self.model, t, self._t_launch)
-        if self.model.noise_stddev > 0:
-            noise = self._noise
-            p = max(p + (noise.pop() if noise else self._draw()), 0.0)
-        return p
+        return float(self.sample_grid([t])[0])
 
-    def _draw(self) -> float:
-        """Draw the next block of the noise stream and return its first value."""
-        size, self._block = self._block, min(2 * self._block, self._max_block)
-        self._noise = self._rng.normal(0.0, self.model.noise_stddev, size).tolist()[::-1]
-        return self._noise.pop()
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
+        model, t_launch = self.model, self._t_launch
+        times = np.asarray(times).tolist()
+        powers = np.array([_scalar_power(model, t, t_launch) for t in times], dtype=np.float64)
+        if model.noise_stddev > 0:
+            noise = self._rng.normal(0.0, model.noise_stddev, powers.size)
+            powers = np.maximum(powers + noise, 0.0)
+        return powers

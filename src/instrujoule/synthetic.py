@@ -9,7 +9,8 @@ completion, and idle again.
 
 Because the shape is closed-form, the exact noise-free energy over the
 kernel execution window is known, which makes these models the ground-truth
-oracle for the measurement strategies.
+oracle for the measurement strategies. A model checks its fields when it is
+built, so an invalid one never reaches ``synthesize`` or a simulated device.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ import numpy as np
 from .errors import InvalidModel
 from .trace import KernelWindow, PowerTrace
 
-# concrete types: isinstance checks on the numbers ABCs made validate 3.7 times as slow
+# concrete types: isinstance checks on the numbers ABCs made the model check 3.7 times as slow
 _INTEGER = (int, np.integer)
 _NUMBER = (float, np.floating) + _INTEGER
+# what json.loads gives for each JSON type, named as JSON names it
+_JSON_TYPES = {
+    list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
+}
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,8 @@ class SyntheticModel:
     ``p_kernel`` is the plateau height above idle; ``ramp_mw`` adds a linear
     climb across the execution window peaking at kernel completion (0 keeps
     the plateau flat). ``pre_rise_lead`` is the gap between the power rise at
-    launch and the true start of kernel execution.
+    launch and the true start of kernel execution. A model is checked when it
+    is built, ``dataclasses.replace`` included: bad fields raise InvalidModel.
     """
 
     p_idle: float = 20_000.0
@@ -51,7 +57,7 @@ class SyntheticModel:
     idle_tail: float = 1.0
     ramp_mw: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # getattr, not vars(self): materializing the instance dict slows every
         # later attribute read, and the per-sample profile reads the model
         for name in self.__dataclass_fields__:
@@ -108,13 +114,13 @@ class SyntheticModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticModel":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            kind = _JSON_TYPES.get(type(data), type(data).__name__)
+            raise InvalidModel(f"model JSON must be an object, got {kind}")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidModel(f"unknown model fields: {sorted(unknown)}")
-        model = cls(**data)
-        model.validate()
-        return model
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,9 @@ class SyntheticTruth:
 
 
 def _scalar_power(model: SyntheticModel, t: float, t_launch: float) -> float:
-    # plain-float twin of the vectorized path; sampling loops call this per
-    # reading, so it must stay cheap
+    # plain-float twin of the vectorized path; the simulated device calls it
+    # at every time it reads, so it must stay cheap. A launch at math.inf
+    # (none yet) reads idle at every finite time.
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
     if t < t_launch:
@@ -183,7 +190,6 @@ def synthesize(model: SyntheticModel) -> tuple[PowerTrace, SyntheticTruth]:
     (seeded, reproducible) is added to every sample and clamped at zero; the
     returned truth is always the noise-free window energy.
     """
-    model.validate()
     t_launch = model.idle_lead
     window = model.window_for_launch(t_launch)
     total = (

@@ -39,6 +39,14 @@ class TestMape:
         with pytest.raises(LengthMismatch):
             mape([], [])
 
+    @pytest.mark.parametrize(
+        "pred, truth", [([[1.0, 2.0]], [[1.0, 2.0]]), ([1.0, 2.0], [[1.0, 2.0]]), (1.0, 1.0)]
+    )
+    def test_not_a_1d_series_rejected(self, pred, truth):
+        with pytest.raises(LengthMismatch) as exc:
+            mape(pred, truth)
+        assert str(exc.value) == "inputs must be 1-d series"
+
     def test_not_symmetric(self):
         # concrete asymmetry: swapping roles changes the answer
         assert mape([2.0], [1.0]) == 100.0

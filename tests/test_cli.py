@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from instrujoule import KernelWindow, SyntheticModel, load_trace
+from instrujoule import KernelWindow, SyntheticDeviceProvider, SyntheticModel, cli, load_trace
 from instrujoule.cli import _build_parser, cli_main
 
 
@@ -16,9 +16,10 @@ def run_cli(capsys, *argv):
 
 
 def write_model(tmp_path, name="model.json", **overrides):
-    model = SyntheticModel(**overrides)
+    # the overrides are written unchecked: a model checks its fields when it is
+    # built, and a bad field must reach the CLI
     path = tmp_path / name
-    path.write_text(json.dumps(model.to_dict()))
+    path.write_text(json.dumps({**SyntheticModel().to_dict(), **overrides}))
     return path
 
 
@@ -125,6 +126,35 @@ class TestMeasure:
         assert code == 1
         assert out == ""
         assert err == f"error: InvalidModel: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, kind", [("[]", "array"), ("5", "number"), ("null", "null"), ('"abc"', "string")]
+    )
+    def test_non_object_model_json_exits_1(self, capsys, tmp_path, text, kind):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm", "--provider", f"synth:{model_path}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: InvalidModel: model JSON must be an object, got {kind}\n"
+
+    def test_measure_builds_one_provider(self, capsys, tmp_path, monkeypatch):
+        built = []
+
+        def device(model):
+            built.append(model)
+            return SyntheticDeviceProvider(model)
+
+        monkeypatch.setattr(cli, "SyntheticDeviceProvider", device)
+        model_path = write_model(tmp_path, kernel_duration=2.0)
+        code, _, _ = run_cli(
+            capsys, "measure", "--strategy", "papi",
+            "--provider", f"synth:{model_path}", "--workload", "synth:0.25",
+        )
+        assert code == 0
+        assert [m.kernel_duration for m in built] == [0.25]
 
     @pytest.mark.parametrize(
         "provider, message",

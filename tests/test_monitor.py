@@ -478,6 +478,23 @@ class TestThreadedMode:
         with pytest.raises(SamplerStartupFailure):
             run_mtsm(DeadSensor(), CallableWorkload(lambda: time.sleep(0.01)), clock=RealClock())
 
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_no_reading_before_the_startup_timeout(self, strategy, monkeypatch):
+        from instrujoule.monitor import _ThreadedSampler
+
+        class SlowFirstRead:
+            def next_sample(self, t):
+                time.sleep(0.2)
+                return 100.0
+
+        monkeypatch.setattr(_ThreadedSampler, "startup_timeout", 0.05)
+        before = sys.getswitchinterval()
+        with pytest.raises(SamplerStartupFailure) as exc:
+            run_threaded(strategy, SlowFirstRead(), CallableWorkload(lambda: None))
+        assert str(exc.value) == "sampler produced no reading before startup timeout"
+        assert sys.getswitchinterval() == before
+        assert sampler_threads() == []
+
     def test_sma_startup_failure_on_dead_provider(self):
         with pytest.raises(SamplerStartupFailure):
             run_threaded("sma", DeadSensor(), CallableWorkload(lambda: time.sleep(0.01)))
@@ -573,14 +590,13 @@ class TestThreadedMode:
             assert out.n_samples == len(trace) < provider.reads
 
     def test_mtsm_on_a_noisy_synthetic_device(self):
-        # the sampler thread reads the noise stream and draws its blocks
+        # the sampler thread reads the device one time at a time, each read a one-point grid
         model = SyntheticModel(
             p_idle=20_000.0, p_kernel=60_000.0, ramp_mw=10_000.0, noise_stddev=5_000.0,
             pre_rise_lead=0.002, kernel_duration=0.018, rng_seed=13,
         )
         result = run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(), clock=RealClock())
         powers = result.trace.powers
-        assert len(powers) > SyntheticDeviceProvider._first_block  # at least one refill
         assert np.all(np.isfinite(powers)) and np.all(powers >= 0.0)
         assert result.energy == energy_from_readings(powers, result.elapsed)
         assert result.elapsed >= 0.02

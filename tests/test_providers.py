@@ -1,8 +1,6 @@
 """Provider semantics: step-hold replay, constants, simulated devices, and
 whole-grid reads that match reading time by time."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -132,7 +130,7 @@ def counted(provider):
 
 
 class TestBlockNoise:
-    """Noise drawn a block at a time is the stream of one draw per read."""
+    """Noise drawn a grid at a time is the stream of one draw per read."""
 
     MODEL = SyntheticModel(noise_stddev=800.0, ramp_mw=5_000.0, kernel_duration=0.5, rng_seed=21)
 
@@ -146,16 +144,19 @@ class TestBlockNoise:
 
     def test_matches_one_draw_per_read(self):
         idle = np.linspace(0.0, 0.2, 10).tolist()
-        # 9000 reads: the blocks grow to their cap, then refill at it
         times = np.linspace(0.2, 1.9, 9_000)
-        cap = SyntheticDeviceProvider._max_block
-        assert len(idle) + times.size > 2 * cap > 3 * SyntheticDeviceProvider._first_block
         got = self.reads(SyntheticDeviceProvider(self.MODEL), idle, times.tolist())
         want = self.reads(PerReadNoise(self.MODEL), idle, times.tolist())
         self.assert_bits_equal(got, want)
         numpy_times = list(times)  # np.float64 times read as Python floats do
         assert type(numpy_times[0]) is np.float64
         self.assert_bits_equal(self.reads(SyntheticDeviceProvider(self.MODEL), idle, numpy_times), want)
+        # as a virtual MTSM run reads: a handshake read, then one grid
+        device = SyntheticDeviceProvider(self.MODEL)
+        handshake = [device.next_sample(t) for t in idle]
+        device.launch(0.25)
+        grid = device.sample_grid(times)
+        self.assert_bits_equal(handshake + grid.tolist(), want)
 
     def test_clamped_reads_match(self):
         model = SyntheticModel(p_idle=1.0, p_kernel=1.0, noise_stddev=1e3, rng_seed=4)
@@ -164,12 +165,6 @@ class TestBlockNoise:
         want = self.reads(PerReadNoise(model), times[:50], times)
         assert 0.0 in got
         self.assert_bits_equal(got, want)
-
-    def test_one_read_draws_one_small_block(self):
-        provider = SyntheticDeviceProvider(self.MODEL)
-        rng = counted(provider)
-        assert provider.next_sample(0.0) == PerReadNoise(self.MODEL).next_sample(0.0)
-        assert rng.calls == 1 and rng.drawn == SyntheticDeviceProvider._first_block <= 16
 
     def test_noise_free_model_draws_nothing(self):
         model = SyntheticModel(noise_stddev=0.0)
@@ -180,16 +175,19 @@ class TestBlockNoise:
         assert rng.calls == 0
         self.assert_bits_equal(got, self.reads(PerReadNoise(model), [0.0, 0.1], times))
 
+    def test_one_read_draws_one_small_block(self):
+        provider = SyntheticDeviceProvider(self.MODEL)
+        rng = counted(provider)
+        assert provider.next_sample(0.0) == PerReadNoise(self.MODEL).next_sample(0.0)
+        assert (rng.calls, rng.drawn) == (1, 1)  # a read is a one-point grid
+
     @pytest.mark.parametrize("n", [1, 17, 1_000, 100_000])
-    def test_generator_calls_grow_with_log_n_plus_n_over_cap(self, n):
+    def test_one_generator_call_per_grid(self, n):
         provider = SyntheticDeviceProvider(self.MODEL)
         rng = counted(provider)
         provider.launch(0.0)
-        for t in np.linspace(0.0, 1.0, n).tolist():
-            provider.next_sample(t)
-        assert rng.calls <= math.log2(n) + n / SyntheticDeviceProvider._max_block + 1
-        first, cap = SyntheticDeviceProvider._first_block, SyntheticDeviceProvider._max_block
-        assert n <= rng.drawn < min(2 * n + first, n + cap)
+        assert provider.sample_grid(np.linspace(0.0, 1.0, n)).shape == (n,)
+        assert (rng.calls, rng.drawn) == (1, n)
 
 
 def scalar_reads(provider, times):
@@ -300,4 +298,3 @@ class TestSampleGrid:
         a.launch(0.1)
         b.launch(0.1)
         assert a.sample_grid(times).tolist() == [b.next_sample(t) for t in times.tolist()]
-        assert "sample_grid" not in vars(SyntheticDeviceProvider)

@@ -13,6 +13,8 @@ from instrujoule import (
     GENERATIONS,
     KernelWindow,
     PowerTrace,
+    TableCell,
+    TableRow,
     TimedWorkload,
     build_results_table,
     catalog_rows,
@@ -140,6 +142,13 @@ class TestRenderTable:
     def test_unknown_format_rejected(self, table):
         with pytest.raises(ValueError):
             render_table(table, format="html")
+
+    @pytest.mark.parametrize("papi, mtsm", [("0.5", ""), ("", "0.5")])
+    def test_half_populated_cell_rejected(self, papi, mtsm):
+        row = TableRow(Category.INTEGER_ARITHMETIC, "add", {("Volta", True): TableCell(papi, mtsm)})
+        with pytest.raises(ValueError) as exc:
+            ResultsTable([row])
+        assert str(exc.value) == "row 'add' cell ('Volta', True) is half-populated"
 
     def test_empty_table_headers_only(self):
         empty = ResultsTable([])

@@ -1,5 +1,7 @@
 """Synthetic profile shape, determinism, and its ground-truth oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,19 +24,19 @@ NON_SEED_FIELDS = [
 
 class TestModelValidation:
     def test_defaults_valid(self):
-        SyntheticModel().validate()
+        SyntheticModel()
 
     def test_zero_duration_rejected(self):
         with pytest.raises(InvalidModel):
-            SyntheticModel(kernel_duration=0.0).validate()
+            SyntheticModel(kernel_duration=0.0)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidModel):
-            SyntheticModel(noise_stddev=-1.0).validate()
+            SyntheticModel(noise_stddev=-1.0)
 
     def test_zero_sample_rate_rejected(self):
         with pytest.raises(InvalidModel):
-            SyntheticModel(sample_rate=0.0).validate()
+            SyntheticModel(sample_rate=0.0)
 
     def test_synthesize_raises_on_invalid(self):
         with pytest.raises(InvalidModel):
@@ -54,14 +56,14 @@ class TestModelValidation:
     def test_nan_rejected(self, field, message):
         # NaN fails every comparison, so each check must be written to fail on it
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(**{field: float("nan")}).validate()
+            SyntheticModel(**{field: float("nan")})
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", NON_SEED_FIELDS)
     def test_infinity_rejected(self, field):
         # infinity passes every `> 0` and `>= 0` check, so finiteness is its own
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(**{field: float("inf")}).validate()
+            SyntheticModel(**{field: float("inf")})
         assert str(exc.value) == f"{field} must be finite, got inf"
 
     @pytest.mark.parametrize(
@@ -77,7 +79,7 @@ class TestModelValidation:
     )
     def test_bad_seed_rejected(self, seed, message):
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(rng_seed=seed).validate()
+            SyntheticModel(rng_seed=seed)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["p_idle", "kernel_duration", "decay_steps", "ramp_mw"])
@@ -85,14 +87,14 @@ class TestModelValidation:
     def test_non_number_rejected(self, field, value):
         # a string would meet a bare TypeError in the range checks, and a bool pass them
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(**{field: value}).validate()
+            SyntheticModel(**{field: value})
         assert str(exc.value) == f"{field} must be a number, got {value!r}"
 
     @pytest.mark.parametrize("field", NON_SEED_FIELDS)
     def test_int_too_large_for_a_float_rejected(self, field):
         # math.isfinite raises OverflowError on such an int
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(**{field: 10**400}).validate()
+            SyntheticModel(**{field: 10**400})
         assert str(exc.value) == f"{field} is too large for a float"
 
     def test_seed_of_any_size_accepted(self):
@@ -103,11 +105,11 @@ class TestModelValidation:
     @pytest.mark.parametrize("steps", [2.5, 2.0, np.float64(3.0)])
     def test_fractional_decay_steps_rejected(self, steps):
         with pytest.raises(InvalidModel) as exc:
-            SyntheticModel(decay_steps=steps).validate()
+            SyntheticModel(decay_steps=steps)
         assert str(exc.value) == f"decay_steps must be an integer, got {steps!r}"
 
     def test_numpy_numbers_accepted(self):
-        SyntheticModel(rng_seed=np.int64(3), decay_steps=np.int64(2), p_idle=np.float64(1.0)).validate()
+        SyntheticModel(rng_seed=np.int64(3), decay_steps=np.int64(2), p_idle=np.float64(1.0))
 
     def test_synthesize_rejects_infinite_idle_tail(self):
         # past the check, the grid size overflows
@@ -125,6 +127,29 @@ class TestModelValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidModel):
             SyntheticModel.from_dict({"p_idl": 3.0})
+
+    @pytest.mark.parametrize(
+        "data, kind",
+        [([], "array"), (5, "number"), (1.5, "number"), (None, "null"), ("abc", "string"), (True, "boolean")],
+    )
+    def test_non_object_json_rejected(self, data, kind):
+        with pytest.raises(InvalidModel) as exc:
+            SyntheticModel.from_dict(data)
+        assert str(exc.value) == f"model JSON must be an object, got {kind}"
+
+    def test_replace_checks_the_new_model(self):
+        with pytest.raises(InvalidModel) as exc:
+            dataclasses.replace(SyntheticModel(), kernel_duration=-1.0)
+        assert str(exc.value) == "kernel_duration must be > 0, got -1.0"
+
+    def test_synthesize_rejects_a_grid_that_ends_inside_the_window(self):
+        # one sample a second ends the grid at 3 s, before the window's end at 3.002 s
+        model = SyntheticModel(sample_rate=1.0, decay_steps=0, idle_tail=0.1)
+        with pytest.raises(InvalidModel) as exc:
+            synthesize(model)
+        assert str(exc.value) == (
+            "sample grid does not cover the kernel window; increase idle_tail or sample_rate"
+        )
 
 
 class TestTruth:

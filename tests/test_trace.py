@@ -26,6 +26,15 @@ class TestPowerTraceInvariants:
         with pytest.raises(MalformedTrace, match="non-finite power sample"):
             PowerTrace([0.0, 1.0], [1.0, bad])
 
+    @pytest.mark.parametrize(
+        "times, powers",
+        [([0.0, 1.0], [1.0]), ([0.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 1.0]]), (0.0, 1.0)],
+    )
+    def test_times_and_powers_of_different_shapes_rejected(self, times, powers):
+        with pytest.raises(MalformedTrace) as exc:
+            PowerTrace(times, powers)
+        assert str(exc.value) == "times and powers must be 1-d arrays of equal length"
+
     def test_window_must_lie_within_span(self):
         with pytest.raises(MalformedTrace):
             PowerTrace([0.0, 1.0], [1.0, 1.0], KernelWindow(0.5, 1.5))
