@@ -13,11 +13,11 @@ than a quarter of the rows hold such a value, are formatted by ``%`` alone.
 
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
-counts its lines and checks that the text is plain (ASCII, with no character
-that the scan and numpy split or strip differently). ``np.loadtxt`` parses
-the body 2048 lines at a time into one ``(width, n)`` array allocated once,
-checking each chunk; on any failure a line-by-line scan of the body accepts
-exactly what ``float()`` accepts and reports the offending line.
+counts its lines and checks that the text is plain: UTF-8 whose lines and
+fields the scan and numpy split alike. ``np.loadtxt`` parses an ASCII body
+2048 lines at a time into one ``(width, n)`` array allocated once, checking
+each chunk; on any failure a line-by-line scan of the body accepts exactly
+what ``float()`` accepts and reports the offending line.
 """
 
 from __future__ import annotations
@@ -182,16 +182,23 @@ def write(sink, head: list[str], columns) -> None:
         sink.write(chunk if text else chunk.encode("utf-8"))
 
 
-def _survey(f) -> int | None:
-    """The binary stream's line count, or None if its text is not plain; rewinds it."""
-    lines, last, plain = 0, b"\n", True
-    while plain and (block := f.read(_BLOCK)):
-        plain = block.isascii() and not any(c in block for c in _NOT_PLAIN)
+def _survey(f) -> tuple[int, int] | None:
+    """The binary stream's line count and the offset past its last non-ASCII
+    byte, where numpy's parse may start, or None if its text is not plain; rewinds it."""
+    lines, last, end = 0, b"\n", 0
+    while (block := f.read(_BLOCK)) and not any(c in block for c in _NOT_PLAIN):
+        codes = np.frombuffer(block, np.uint8)
         # numpy counts about four times as fast as bytes.count
-        lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        lines += np.count_nonzero(codes == ord("\n"))
+        if not block.isascii():
+            end = f.tell() - codes.size + int(np.flatnonzero(codes >= 0x80)[-1]) + 1
         last = block[-1:]
     f.seek(0)
-    return int(lines) + (last != b"\n") if plain else None
+    # up to there: UTF-8 (a U+FFFD may be a decoding error) that breaks lines only at "\n"
+    wide = f.read(end).decode("utf-8", "replace")
+    f.seek(0)
+    plain = not block and not any(c in wide for c in "\ufffd\x85\u2028\u2029")
+    return (int(lines) + (last != b"\n"), end) if plain else None
 
 
 class Reader:
@@ -215,15 +222,15 @@ class Reader:
                 data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
             self._f = io.BytesIO(data)
         try:
-            self._lines = _survey(self._f)
-            if self._lines is None:
+            self._plain = _survey(self._f)
+            if self._plain is None:
                 # Path.read_text's line ends; no UTF-8 sequence holds a CR or LF byte
                 data = self._f.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 self._f.close()
                 self._f = io.BytesIO(data)
                 # numpy parses only text whose lines and fields it splits as the scan does
-                self._lines = _survey(self._f)
-            if self._lines is None:
+                self._plain = _survey(self._f)
+            if self._plain is None:
                 # the scan's lines, each ended with "\n" as translated line ends are
                 lines = "".join(l + "\n" for l in data.decode("utf-8", errors).splitlines())
                 self._f = io.BytesIO(lines.encode("utf-8", "surrogatepass"))
@@ -276,10 +283,10 @@ class Reader:
         """The body parsed by numpy a chunk of lines at a time into one array
         sized by the line count, or None when numpy cannot parse it or a check
         fails."""
-        if self._lines is None:
+        if self._plain is None or self._f.tell() < self._plain[1]:
             return None
         # the lines left: each line read so far ended with "\n" or was the last
-        n = self._lines - (self._line_no - 1)
+        n = self._plain[0] - (self._line_no - 1)
         out = np.empty((width, n))
         filled, last = 0, -math.inf
         with warnings.catch_warnings():

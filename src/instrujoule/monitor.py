@@ -176,9 +176,10 @@ class CallableWorkload(Workload):
 class KernelLaunchWorkload(Workload):
     """Synthetic-device kernel: launching it anchors the provider's profile.
 
-    Completion takes ``pre_rise_lead + kernel_duration`` (launch overhead
-    plus execution), matching what a driver-side timer around a launch and
-    synchronize would observe.
+    Completion takes ``pre_rise_lead + kernel_duration``, as a timer around a
+    launch and synchronize would see. The lead runs at plateau power, so MTSM
+    converges to ``true_window_energy() + (p_idle + p_kernel) * pre_rise_lead``
+    (+0.5% for a 0.4 s kernel with a 2 ms lead).
     """
 
     label: str = "kernel"

@@ -17,8 +17,8 @@ results. Three implementations ship with the toolkit:
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
                       profile, then plateau / ramp / stepped decay. A grid
-                      draws its noise in one generator call, and a read is a
-                      one-point grid.
+                      reads the profile's array form and draws its noise in
+                      one call; a single read, the scalar form and one draw.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import ProviderExhausted
-from .synthetic import SyntheticModel, _scalar_power
+from .synthetic import SyntheticModel, _scalar_power, noise_free_power
 from .trace import PowerTrace
 
 
@@ -101,8 +101,8 @@ class SyntheticDeviceProvider(PowerProvider):
     order does not matter. Per-reading Gaussian noise is one stream from a
     generator seeded by the model, making any deterministic sampling
     schedule bit-reproducible: a grid of n times draws n values in one call,
-    and n draws in one call equal n single draws, so each reading is what
-    drawing its noise alone would give.
+    which equal n single draws; a read scales one standard draw by the
+    stddev, as ``normal`` does, at two thirds of its cost.
     """
 
     def __init__(self, model: SyntheticModel):
@@ -116,13 +116,11 @@ class SyntheticDeviceProvider(PowerProvider):
         self._t_launch = float(t)
 
     def next_sample(self, t: float) -> float:
-        return float(self.sample_grid([t])[0])
+        p, sd = _scalar_power(self.model, t, self._t_launch), self.model.noise_stddev
+        return max(p + sd * self._rng.standard_normal(), 0.0) if sd > 0 else p
 
     def sample_grid(self, times: np.ndarray) -> np.ndarray:
-        model, t_launch = self.model, self._t_launch
-        times = np.asarray(times).tolist()
-        powers = np.array([_scalar_power(model, t, t_launch) for t in times], dtype=np.float64)
-        if model.noise_stddev > 0:
-            noise = self._rng.normal(0.0, model.noise_stddev, powers.size)
-            powers = np.maximum(powers + noise, 0.0)
+        powers = noise_free_power(self.model, times, self._t_launch)
+        if (sd := self.model.noise_stddev) > 0:
+            powers = np.maximum(powers + self._rng.normal(0.0, sd, powers.size), 0.0)
         return powers

@@ -102,7 +102,8 @@ class SyntheticModel:
         return KernelWindow(start, start + self.kernel_duration)
 
     def true_window_energy(self) -> float:
-        """Exact noise-free energy (mJ) over the kernel execution window.
+        """Exact noise-free energy (mJ) over the kernel execution window, which
+        starts ``pre_rise_lead`` after the launch that a timed run includes.
 
         Plateau contributes (p_idle + p_kernel) * duration; a ramp adds its
         mean height ramp_mw / 2 over the same span.
@@ -132,9 +133,9 @@ class SyntheticTruth:
 
 
 def _scalar_power(model: SyntheticModel, t: float, t_launch: float) -> float:
-    # plain-float twin of the vectorized path; the simulated device calls it
-    # at every time it reads, so it must stay cheap. A launch at math.inf
-    # (none yet) reads idle at every finite time.
+    # plain-float twin of noise_free_power for the simulated device's single
+    # read, which a one-point array slows about 100 times; tests pin the two
+    # bit-equal. A launch at math.inf (none yet) reads idle at every finite time.
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
     if t < t_launch:
@@ -156,13 +157,11 @@ def _scalar_power(model: SyntheticModel, t: float, t_launch: float) -> float:
 def noise_free_power(model: SyntheticModel, t, t_launch: float):
     """Evaluate the noise-free profile at time(s) ``t`` for a launch at ``t_launch``.
 
-    Vectorized over numpy arrays; scalars return a float. Power jumps to the
+    Vectorized over numpy arrays; a scalar returns a float. Power jumps to the
     kernel plateau at the launch instant, holds (plus optional ramp) through
     the end of execution, then descends in ``decay_steps`` equal-height
     plateaus back to idle.
     """
-    if np.ndim(t) == 0:
-        return _scalar_power(model, float(t), t_launch)
     t = np.asarray(t, dtype=np.float64)
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
@@ -201,10 +200,10 @@ def synthesize(model: SyntheticModel) -> tuple[PowerTrace, SyntheticTruth]:
     )
     n = int(np.floor(total * model.sample_rate)) + 1
     times = np.arange(n, dtype=np.float64) / model.sample_rate
-    powers = np.asarray(noise_free_power(model, times, t_launch), dtype=np.float64)
-    if model.noise_stddev > 0:
-        rng = np.random.default_rng(model.rng_seed)
-        powers = np.maximum(powers + rng.normal(0.0, model.noise_stddev, n), 0.0)
+    from .providers import SyntheticDeviceProvider  # providers imports this module
+    device = SyntheticDeviceProvider(model)
+    device.launch(t_launch)
+    powers = device.sample_grid(times)
     if times[-1] < window.end:
         raise InvalidModel(
             "sample grid does not cover the kernel window; "

@@ -229,3 +229,59 @@ def test_a_failed_chunk_scans_from_the_body_start(tmp_path):
     trace = load_trace(path)
     assert trace.powers.tolist()[-1] == 10.0
     assert np.array_equal(trace.times, [float(r.split(",")[0]) for r in ROWS])
+
+
+# UTF-8 beyond ASCII in a comment or a header; every body is ASCII
+WIDE_HEADS = {
+    "capture comment": (load_hw_capture, "# scope: 5 \xb5s/div\n" + CAPTURES["many chunks"]),
+    "capture comment across a block boundary": (
+        load_hw_capture, "#" * (BLOCK - 1) + "\u2026\n" + CAPTURES["many chunks"]),
+    "capture comment after the first block": (
+        load_hw_capture, "#" * 3 * BLOCK + "\xe9\n" + CAPTURES["many chunks"]),
+    "window comment": (load_trace, "# window: 0.002,0.004\u3000\n" + H + "".join(ROWS)),
+    "header": (load_trace, H[:-1] + "\xa0\n" + "".join(ROWS)),
+}
+
+
+def _old_path_outcome(load, source, monkeypatch):
+    # the path of text that is not plain: line ends translated, then the text
+    # rebuilt from str.splitlines() and scanned
+    with monkeypatch.context() as m:
+        m.setattr(_csv, "_survey", lambda f: None)
+        return _outcome(load, source)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_HEADS))
+def test_non_ascii_comments_and_headers_take_the_numpy_pass(name, monkeypatch, tmp_path):
+    load, text = WIDE_HEADS[name]
+    expected = _old_path_outcome(load, text.encode(), monkeypatch)
+    assert isinstance(expected[0], list)  # loads
+
+    def no_scan(*args):
+        raise AssertionError("the line scan ran")
+
+    monkeypatch.setattr(_csv.Reader, "_scan", no_scan)
+    sources = _sources(text, tmp_path) + [io.StringIO(text), text.replace("\n", "\r\n").encode()]
+    assert [_outcome(load, s) for s in sources] == [expected] * 6
+
+
+NOT_PLAIN = {
+    "next line": "\x85".encode(),
+    "line separator": "\u2028".encode(),
+    "paragraph separator": "\u2029".encode(),
+    "replacement character": "\ufffd".encode(),
+    "latin-1": b"\xb5",
+    "cut sequence": b"\xe2\x80",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_PLAIN))
+@pytest.mark.parametrize("where", ["comment", "body"])
+def test_other_line_breaks_and_invalid_utf8_are_not_plain(name, where):
+    # such text is rebuilt from str.splitlines() and scanned, so its lines split
+    # where Python splits them, and bytes that are not UTF-8 raise the decoder's error
+    wide = NOT_PLAIN[name]
+    head = b"# r_s_ohm: 0.1 " + wide + b"x\n" + C.split("\n", 1)[1].encode()
+    body = "".join(CAPTURE_ROWS).encode()
+    data = head + body if where == "comment" else C.encode() + wide + body
+    assert _csv._survey(io.BytesIO(data)) is None

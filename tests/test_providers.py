@@ -1,6 +1,8 @@
 """Provider semantics: step-hold replay, constants, simulated devices, and
 whole-grid reads that match reading time by time."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from instrujoule import (
     SyntheticModel,
     noise_free_power,
 )
+from instrujoule.synthetic import _scalar_power
 
 
 class TestReplayProvider:
@@ -113,7 +116,7 @@ class PerReadNoise:
 
 
 class CountingRng:
-    """Wraps a generator and counts its ``normal`` calls and the values they draw."""
+    """Wraps a generator and counts its draw calls and the values they draw."""
 
     def __init__(self, rng):
         self.rng, self.calls, self.drawn = rng, 0, 0
@@ -122,6 +125,11 @@ class CountingRng:
         self.calls += 1
         self.drawn += size
         return self.rng.normal(loc, scale, size)
+
+    def standard_normal(self):
+        self.calls += 1
+        self.drawn += 1
+        return self.rng.standard_normal()
 
 
 def counted(provider):
@@ -175,11 +183,13 @@ class TestBlockNoise:
         assert rng.calls == 0
         self.assert_bits_equal(got, self.reads(PerReadNoise(model), [0.0, 0.1], times))
 
-    def test_one_read_draws_one_small_block(self):
+    def test_one_read_draws_one_scalar(self):
         provider = SyntheticDeviceProvider(self.MODEL)
         rng = counted(provider)
-        assert provider.next_sample(0.0) == PerReadNoise(self.MODEL).next_sample(0.0)
-        assert (rng.calls, rng.drawn) == (1, 1)  # a read is a one-point grid
+        read = provider.next_sample(0.0)
+        assert type(read) is float
+        assert read == PerReadNoise(self.MODEL).next_sample(0.0)
+        assert (rng.calls, rng.drawn) == (1, 1)
 
     @pytest.mark.parametrize("n", [1, 17, 1_000, 100_000])
     def test_one_generator_call_per_grid(self, n):
@@ -298,3 +308,72 @@ class TestSampleGrid:
         a.launch(0.1)
         b.launch(0.1)
         assert a.sample_grid(times).tolist() == [b.next_sample(t) for t in times.tolist()]
+
+
+def random_model(rng):
+    """A valid model with every profile segment's length, height and step
+    count drawn at random; half the models ramp, and the noise is often
+    large enough to clamp idle readings at zero."""
+    return SyntheticModel(
+        p_idle=float(rng.choice([0.0, rng.uniform(0.0, 3e4)])),
+        p_kernel=float(rng.uniform(0.0, 1e5)),
+        pre_rise_lead=float(rng.uniform(1e-6, 0.05)),
+        kernel_duration=float(rng.uniform(1e-4, 3.0)),
+        decay_steps=int(rng.integers(0, 7)),
+        decay_step_duration=float(rng.uniform(1e-5, 0.5)),
+        noise_stddev=float(rng.choice([0.0, rng.uniform(0.0, 5e4)])),
+        rng_seed=int(rng.integers(2**32)),
+        ramp_mw=float(rng.choice([0.0, rng.uniform(0.0, 2e4)])),
+    )
+
+
+def profile_times(model, t_launch, rng):
+    """Random times around the profile plus every segment boundary, computed
+    as the profile computes it, and its two float neighbours."""
+    exec_start = t_launch + model.pre_rise_lead
+    exec_end = exec_start + model.kernel_duration
+    edges = [t_launch, exec_start, exec_end]
+    # step k ends at exec_end + k * decay_step_duration; the last step ends the decay
+    edges += [exec_end + k * model.decay_step_duration for k in range(1, model.decay_steps + 1)]
+    edges = np.array(edges)
+    span = edges[-1] - t_launch
+    spread = rng.uniform(t_launch - 0.2 * span, edges[-1] + 0.2 * span, 64)
+    times = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), spread])
+    rng.shuffle(times)
+    return times
+
+
+class TestTwoFormsOfTheProfile:
+    """The profile's scalar form (single reads) and array form (grids) agree
+    bit for bit, boundaries, unlaunched devices and clamped noise included."""
+
+    MODELS = 300
+
+    def cases(self):
+        rng = np.random.default_rng(16)
+        for _ in range(self.MODELS):
+            model = random_model(rng)
+            t_launch = float(rng.uniform(0.0, 1e3))
+            yield model, t_launch, profile_times(model, t_launch, rng)
+
+    def test_array_form_matches_scalar_form(self):
+        for model, t_launch, times in self.cases():
+            for launch in (t_launch, math.inf):
+                got = noise_free_power(model, times, launch)
+                want = [_scalar_power(model, t, launch) for t in times.tolist()]
+                assert got.tobytes() == np.array(want).tobytes(), (model, launch)
+
+    def test_reads_match_grids(self):
+        clamped = 0
+        for model, t_launch, times in self.cases():
+            before = times[times < t_launch]
+            reader, gridder = SyntheticDeviceProvider(model), SyntheticDeviceProvider(model)
+            reads = [reader.next_sample(t) for t in before.tolist()]
+            reader.launch(t_launch)
+            reads += [reader.next_sample(t) for t in times.tolist()]
+            grid = gridder.sample_grid(before)
+            gridder.launch(t_launch)
+            grid = np.concatenate([grid, gridder.sample_grid(times)])
+            assert np.array(reads).tobytes() == grid.tobytes(), model
+            clamped += model.noise_stddev > 0 and 0.0 in reads
+        assert clamped >= 5
