@@ -2,6 +2,7 @@
 
 import dataclasses
 import difflib
+import hashlib
 
 import pytest
 
@@ -19,6 +20,7 @@ from instrujoule import (
     validate_kernel,
 )
 from instrujoule.catalog import Category
+from instrujoule.codegen import CheckResult
 
 DIV_U32 = find_instruction("div", "u32")
 
@@ -152,29 +154,14 @@ class TestValidatorNegatives:
             "div.u32 \t%r7, %r6, %r2", "div.u32 \t%r7, %r1, %r2"
         )
         assert broken_text != kernel.ptx_text
-        broken = BenchmarkKernel(
-            ptx_text=broken_text,
-            spec=kernel.spec,
-            variant=kernel.variant,
-            iterations=kernel.iterations,
-            unroll_factor=kernel.unroll_factor,
-            entry_name=kernel.entry_name,
-            n_instructions=kernel.n_instructions,
-        )
-        report = validate_kernel(broken)
+        report = validate_kernel(dataclasses.replace(kernel, ptx_text=broken_text))
         assert not report.check("dependency_chain").passed
         assert not report.all_pass
 
     def test_wrong_loop_bound_detected(self):
         kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL, 1000, 3)
-        tampered = BenchmarkKernel(
-            ptx_text=kernel.ptx_text.replace("mov.u32 \t%r4, 1000;", "mov.u32 \t%r4, 999;"),
-            spec=kernel.spec,
-            variant=kernel.variant,
-            iterations=kernel.iterations,
-            unroll_factor=kernel.unroll_factor,
-            entry_name=kernel.entry_name,
-            n_instructions=kernel.n_instructions,
+        tampered = dataclasses.replace(
+            kernel, ptx_text=kernel.ptx_text.replace("mov.u32 \t%r4, 1000;", "mov.u32 \t%r4, 999;")
         )
         report = validate_kernel(tampered)
         assert not report.check("loop_bound").passed
@@ -182,31 +169,16 @@ class TestValidatorNegatives:
     def test_missing_count_detected(self):
         total = generate_kernel(DIV_U32, KernelVariant.TOTAL, 1000, 5)
         over = generate_kernel(DIV_U32, KernelVariant.OVERHEAD, 1000, 5)
-        mislabeled = BenchmarkKernel(
-            ptx_text=over.ptx_text,
-            spec=total.spec,
-            variant=KernelVariant.TOTAL,
-            iterations=total.iterations,
-            unroll_factor=total.unroll_factor,
-            entry_name=total.entry_name,
-            n_instructions=total.n_instructions,
-        )
+        mislabeled = dataclasses.replace(total, ptx_text=over.ptx_text)
         report = validate_kernel(mislabeled)
         assert not report.check("opcode_count").passed
 
     def test_garbage_text_parse_failure(self):
         kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)
-        garbage = BenchmarkKernel(
-            ptx_text="this is not ptx at all\njust words\n",
-            spec=kernel.spec,
-            variant=kernel.variant,
-            iterations=kernel.iterations,
-            unroll_factor=kernel.unroll_factor,
-            entry_name=kernel.entry_name,
-            n_instructions=kernel.n_instructions,
-        )
-        with pytest.raises(ParseFailure):
+        garbage = dataclasses.replace(kernel, ptx_text="this is not ptx at all\njust words\n")
+        with pytest.raises(ParseFailure) as info:
             validate_kernel(garbage)
+        assert str(info.value) == "no .entry directive found"
 
     @pytest.mark.parametrize(
         "deleted, message",
@@ -226,17 +198,9 @@ class TestValidatorNegatives:
 
     def test_empty_text_parse_failure(self):
         kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)
-        empty = BenchmarkKernel(
-            ptx_text="   \n",
-            spec=kernel.spec,
-            variant=kernel.variant,
-            iterations=kernel.iterations,
-            unroll_factor=kernel.unroll_factor,
-            entry_name=kernel.entry_name,
-            n_instructions=kernel.n_instructions,
-        )
-        with pytest.raises(ParseFailure):
-            validate_kernel(empty)
+        with pytest.raises(ParseFailure) as info:
+            validate_kernel(dataclasses.replace(kernel, ptx_text="   \n"))
+        assert str(info.value) == "empty kernel text"
 
 
 class TestBuildRecipe:
@@ -257,3 +221,108 @@ class TestBuildRecipe:
         last_step = recipe.strip().splitlines()[-1]
         assert "total and overhead" in recipe
         assert "difference" in last_step
+
+
+def _outcome(kernel: BenchmarkKernel) -> str:
+    try:
+        report = validate_kernel(kernel)
+    except ParseFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ";".join(f"{c.name}={c.passed}:{c.detail}" for c in report.checks)
+
+
+def _edits(kernel: BenchmarkKernel):
+    """Each line deleted, commented out, duplicated and swapped with the next."""
+    lines = kernel.ptx_text.splitlines()
+    for i, line in enumerate(lines):
+        yield f"delete {i}", lines[:i] + lines[i + 1 :]
+        if line.strip():
+            yield f"comment {i}", lines[:i] + ["// " + line] + lines[i + 1 :]
+        yield f"duplicate {i}", lines[: i + 1] + lines[i:]
+        if i + 1 < len(lines):
+            yield f"swap {i}", lines[:i] + [lines[i + 1], line] + lines[i + 2 :]
+
+
+EDITED = [("div", "u32"), ("mad", "f32"), ("add", "f64"), ("mul", "f16"), ("popc", "u32")]
+
+
+class TestValidatorGolden:
+    """Every report and every error, pinned by hash before the scan is rewritten."""
+
+    def test_whole_catalog(self):
+        outcomes = [
+            f"{spec.ptx_mnemonic} {variant.value} {iters}x{unroll}|"
+            + _outcome(generate_kernel(spec, variant, iters, unroll))
+            for iters, unroll in ((1_000_000, 5), (1, 1))
+            for spec in list_catalog()
+            for variant in KernelVariant
+        ]
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "5d7e2f71a693b98bd38bdd254c92769d3fabf5b612e565917d2665c1de9fc281"
+
+    def test_edited_kernels(self):
+        outcomes = []
+        for opcode, type_ in EDITED:
+            for variant in KernelVariant:
+                kernel = generate_kernel(find_instruction(opcode, type_), variant)
+                for label, lines in _edits(kernel):
+                    edited = dataclasses.replace(kernel, ptx_text="\n".join(lines) + "\n")
+                    outcomes.append(f"{opcode}.{type_} {variant.value} {label}|" + _outcome(edited))
+        assert len(outcomes) == 1418
+        joined = "\n".join(outcomes)
+        # the edit set reaches every outcome: a pass, each check failing and
+        # each structural parse failure
+        assert "=False" not in outcomes[0]
+        for name in ("opcode_count", "dependency_chain", "loop_bound", "final_store"):
+            assert f"{name}=False" in joined
+        for message in (
+            "no .entry directive found",
+            "no loop label found",
+            "no predicate-guarded branch back to BB0_1",
+            "no ret after the loop",
+        ):
+            assert f"|ParseFailure: {message}\n" in joined
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "5acaca378d29823206b97e43d467e324e0c871ccf38aff147c49537ca0b9701a"
+        )
+
+
+class TestValidatorMessages:
+    def test_missing_final_store_fails_its_check(self):
+        kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)
+        lines = kernel.ptx_text.splitlines()
+        del lines[lines.index("\tret;") - 1]
+        report = validate_kernel(dataclasses.replace(kernel, ptx_text="\n".join(lines)))
+        assert report.check("final_store") == CheckResult(
+            "final_store", False, "no st.global after the loop"
+        )
+        assert [c.name for c in report.checks if not c.passed] == ["final_store"]
+
+    def test_no_entry_message(self):
+        kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL)
+        text = kernel.ptx_text.replace(".visible .entry", ".visible .func")
+        with pytest.raises(ParseFailure) as info:
+            validate_kernel(dataclasses.replace(kernel, ptx_text=text))
+        assert str(info.value) == "no .entry directive found"
+
+    @pytest.mark.parametrize(
+        "opcode, type_, literal, iterations, passed, detail",
+        [
+            ("div", "u32", None, 0, False, "no mov of literal 0 before the loop"),
+            ("div", "u32", None, -5, False, "no mov of literal -5 before the loop"),
+            # the float harness zeroes %r3 with a mov before the loop
+            ("mad", "f32", None, 0, True, "loop counter initialized to 0"),
+            ("div", "u32", "-5", -5, True, "loop counter initialized to -5"),
+            ("div", "u32", "-5", 5, True, "loop counter initialized to 5"),
+            ("div", "u32", "x-5", -5, False, "no mov of literal -5 before the loop"),
+            ("div", "u32", "--5", -5, True, "loop counter initialized to -5"),
+            ("div", "u32", "-50", -5, False, "no mov of literal -5 before the loop"),
+        ],
+    )
+    def test_loop_bound_of_hand_built_counts(self, opcode, type_, literal, iterations, passed, detail):
+        kernel = generate_kernel(find_instruction(opcode, type_), KernelVariant.TOTAL)
+        text = kernel.ptx_text
+        if literal is not None:
+            text = text.replace(f", {kernel.iterations};", f", {literal};")
+        hand_built = dataclasses.replace(kernel, ptx_text=text, iterations=iterations)
+        assert validate_kernel(hand_built).check("loop_bound") == CheckResult("loop_bound", passed, detail)
