@@ -100,13 +100,7 @@ def entry_name_for(spec: InstructionSpec) -> str:
 
 
 def _chain_line(mnemonic: str, arity: int, dst: str, src: str, c1: str, c2: str) -> str:
-    if arity == 1:
-        ops = f"{dst}, {src}"
-    elif arity == 2:
-        ops = f"{dst}, {src}, {c1}"
-    else:
-        ops = f"{dst}, {src}, {c1}, {c2}"
-    return f"\t{mnemonic} \t{ops};"
+    return f"\t{mnemonic} \t{', '.join((dst, src, c1, c2)[: arity + 1])};"
 
 
 def _chain_registers(head: str, prefix: str, first_free: int, n: int) -> list[tuple[str, str]]:
@@ -249,83 +243,65 @@ def generate_kernel(
 
 _INSTR_RE = re.compile(r"^\s*(?:@%p\d+\s+)?([a-z][\w.]*)\s+(.*);\s*$")
 _LABEL_RE = re.compile(r"^\s*(\$?\w+):\s*$")
+_RET_RE = re.compile(r"^\s*ret\s*;")
 _REG_RE = re.compile(r"%[a-z]+\d+")
+# Every whole run of [\w.] characters in a line, and every such run led by a
+# minus sign that does not follow one: the literals a loop bound can match.
+_TOKEN_RE = re.compile(r"(?<![\w.])(?=(-?[\w.]+))")
 
 
-@dataclass(frozen=True)
-class _ScannedInstruction:
-    mnemonic: str
-    dest: str | None
-    sources: tuple[str, ...]
-    line_no: int
-
-
-def _scan_instruction(line: str, line_no: int) -> _ScannedInstruction | None:
-    m = _INSTR_RE.match(line)
-    if not m:
-        return None
-    mnemonic, operand_text = m.group(1), m.group(2)
-    parts = [p.strip() for p in operand_text.split(",")]
-    dest = None
-    sources: list[str] = []
-    for i, part in enumerate(parts):
-        regs = _REG_RE.findall(part)
-        if i == 0 and not part.startswith("["):
-            dest = regs[0] if regs else None
-        else:
-            sources.extend(regs)
-    return _ScannedInstruction(mnemonic, dest, tuple(sources), line_no)
-
-
-def _scan_kernel(ptx_text: str):
+def _scan_kernel(lines: list[str]):
     """Line-level structural scan: (preamble, body, postlude) instruction lists.
 
-    Raises ParseFailure when the text lacks the basic kernel shape (entry
-    directive, loop label, predicate-guarded back branch, return).
+    Each instruction is a (mnemonic, operand text, line number) tuple. The
+    body lies between the loop label and its branch back, which neither
+    list holds. Raises ParseFailure when the text lacks the basic kernel
+    shape (entry directive, loop label, predicate-guarded back branch,
+    return).
     """
-    stripped = []
-    for no, raw in enumerate(ptx_text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].rstrip()
-        if line.strip():
-            stripped.append((no, line))
+    has_entry = has_ret = False
+    preamble, body, postlude = [], [], []
+    section = preamble
+    for no, raw in enumerate(lines, start=1):
+        line = raw.split("//", 1)[0]
+        if not line.strip():
+            continue
+        has_entry = has_entry or ".entry" in line
+        if section is preamble and (m := _LABEL_RE.match(line)):
+            label = m.group(1)
+            branch = re.compile(rf"^\s*@%p\d+\s+bra\s+{re.escape(label)}\s*;\s*$")
+            section = body
+            continue
+        if section is body and branch.match(line):
+            section = postlude
+            continue
+        if section is postlude:
+            has_ret = has_ret or _RET_RE.match(line) is not None
+        if m := _INSTR_RE.match(line):
+            section.append((m.group(1), m.group(2), no))
 
-    if not any(".entry" in line for _, line in stripped):
+    if not has_entry:
         raise ParseFailure("no .entry directive found")
-
-    label = None
-    label_idx = None
-    for idx, (_, line) in enumerate(stripped):
-        m = _LABEL_RE.match(line)
-        if m and not line.lstrip().startswith("."):
-            label, label_idx = m.group(1), idx
-            break
-    if label is None:
+    if section is preamble:
         raise ParseFailure("no loop label found")
-
-    branch_idx = None
-    for idx in range(label_idx + 1, len(stripped)):
-        _, line = stripped[idx]
-        if re.match(rf"^\s*@%p\d+\s+bra\s+{re.escape(label)}\s*;\s*$", line):
-            branch_idx = idx
-            break
-    if branch_idx is None:
+    if section is body:
         raise ParseFailure(f"no predicate-guarded branch back to {label}")
-
-    if not any(re.match(r"^\s*ret\s*;", line) for _, line in stripped[branch_idx:]):
+    if not has_ret:
         raise ParseFailure("no ret after the loop")
-
-    def instructions(pairs):
-        out = []
-        for no, line in pairs:
-            scanned = _scan_instruction(line, no)
-            if scanned is not None:
-                out.append(scanned)
-        return out
-
-    preamble = instructions(stripped[:label_idx])
-    body = instructions(stripped[label_idx + 1 : branch_idx])
-    postlude = instructions(stripped[branch_idx + 1 :])
     return preamble, body, postlude
+
+
+def _operands(operand_text: str) -> tuple[str | None, list[str]]:
+    """Destination and source registers of one instruction.
+
+    A leading memory operand (``[...]``) is read, not written, so a store
+    has no destination.
+    """
+    head, _, rest = operand_text.partition(",")
+    if head.lstrip().startswith("["):
+        return None, _REG_RE.findall(operand_text)
+    dest = _REG_RE.search(head)
+    return (dest.group() if dest else None), _REG_RE.findall(rest)
 
 
 def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
@@ -338,54 +314,46 @@ def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
     """
     if not kernel.ptx_text.strip():
         raise ParseFailure("empty kernel text")
-    preamble, body, postlude = _scan_kernel(kernel.ptx_text)
+    lines = kernel.ptx_text.splitlines()
+    preamble, body, postlude = _scan_kernel(lines)
 
     mnemonic = kernel.spec.ptx_mnemonic
     expected = kernel.unroll_factor if kernel.variant == KernelVariant.TOTAL else 0
-    targets = [ins for ins in body if ins.mnemonic == mnemonic]
+    targets = [(no, *_operands(operands)) for mn, operands, no in body if mn == mnemonic]
 
-    checks = []
-    checks.append(
+    chain_ok = True
+    chain_detail = "chain intact" if len(targets) > 1 else "fewer than 2 chained instructions"
+    for (_, dest, _), (no, _, sources) in zip(targets, targets[1:]):
+        if dest is None or dest not in sources:
+            chain_ok = False
+            chain_detail = f"line {no}: {dest} not consumed by the next instruction"
+            break
+
+    bound = str(kernel.iterations)
+    # the bound is looked for in the whole raw line, its comment included
+    bound_ok = any(
+        mn.startswith("mov.") and bound in _TOKEN_RE.findall(lines[no - 1])
+        for mn, _, no in preamble
+    )
+    store_ok = any(mn.startswith("st.global") for mn, _, _ in postlude)
+    return ValidationReport((
         CheckResult(
             "opcode_count",
             len(targets) == expected,
             f"found {len(targets)} x {mnemonic} in loop body, expected {expected}",
-        )
-    )
-
-    chain_ok = True
-    chain_detail = "chain intact" if len(targets) > 1 else "fewer than 2 chained instructions"
-    for prev, cur in zip(targets, targets[1:]):
-        if prev.dest is None or prev.dest not in cur.sources:
-            chain_ok = False
-            chain_detail = (
-                f"line {cur.line_no}: {prev.dest} not consumed by the next instruction"
-            )
-            break
-    checks.append(CheckResult("dependency_chain", chain_ok, chain_detail))
-
-    bound = str(kernel.iterations)
-    bound_ok = any(
-        ins.mnemonic.startswith("mov.") and re.search(rf"(?<![\w.]){re.escape(bound)}(?![\w.])", kernel.ptx_text.splitlines()[ins.line_no - 1])
-        for ins in preamble
-    )
-    checks.append(
+        ),
+        CheckResult("dependency_chain", chain_ok, chain_detail),
         CheckResult(
             "loop_bound",
             bound_ok,
             f"loop counter initialized to {bound}" if bound_ok else f"no mov of literal {bound} before the loop",
-        )
-    )
-
-    store_ok = any(ins.mnemonic.startswith("st.global") for ins in postlude)
-    checks.append(
+        ),
         CheckResult(
             "final_store",
             store_ok,
             "final store present" if store_ok else "no st.global after the loop",
-        )
-    )
-    return ValidationReport(tuple(checks))
+        ),
+    ))
 
 
 def emit_build_recipe(kernel: BenchmarkKernel) -> str:
