@@ -224,14 +224,21 @@ def _cmd_analyze_hw(args) -> int:
 
 
 def _load_energies(path: str) -> dict[str, float]:
+    """Label to energy from a result JSON; every energy a finite number."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict) and "energies" in data:
-        return {str(k): float(v) for k, v in data["energies"].items()}
-    if isinstance(data, dict) and "energy_mj" in data:
-        return {str(data.get("label", "kernel")): float(data["energy_mj"])}
-    raise LengthMismatch(
-        f"{path}: expected an EnergyResult JSON, or an object with 'energies'"
-    )
+    energies = data.get("energies") if isinstance(data, dict) else None
+    if energies is None and isinstance(data, dict) and "energy_mj" in data:
+        energies = {str(data.get("label", "kernel")): data["energy_mj"]}
+    if not isinstance(energies, dict):
+        raise LengthMismatch(
+            f"{path}: expected an EnergyResult JSON, or an object with 'energies'"
+        )
+    for label, value in energies.items():
+        # a bool is an int; an int compares exactly, so one past float range fails
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (numeric and abs(value) <= sys.float_info.max):
+            raise LengthMismatch(f"{path}: energy of '{label}' is not a finite number")
+    return {label: float(value) for label, value in energies.items()}
 
 
 def _cmd_compare(args) -> int:

@@ -13,6 +13,7 @@ MalformedTrace naming the offending line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,10 @@ class KernelWindow:
     end: float
 
     def __post_init__(self):
-        if not (self.end > self.start):
+        for name, bound in (("start", self.start), ("end", self.end)):
+            if not math.isfinite(bound):
+                raise ValueError(f"window {name} must be finite, got {bound}")
+        if self.end <= self.start:
             raise ValueError(f"window end {self.end} must exceed start {self.start}")
 
     @property

@@ -360,6 +360,20 @@ class TestAnalyzeHw:
         assert out == ""
         assert err == "usage error: --window must be '<start>,<end>'\n"
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [("0,inf", "window end must be finite, got inf"), ("nan,1", "window start must be finite, got nan")],
+    )
+    def test_infinite_window_exits_1(self, capsys, capture_path, tmp_path, bounds, message):
+        out_path = tmp_path / "energy.json"
+        code, out, err = run_cli(
+            capsys, "analyze-hw", "--capture", str(capture_path),
+            "--window", bounds, "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: ValueError: {message}\n"
+        assert not out_path.exists()
+
     def test_windowed_trace_output(self, capsys, capture_path, tmp_path):
         # a CSV out with a window is the whole trace, headed by the window comment
         plain_path, windowed_path = tmp_path / "plain.csv", tmp_path / "windowed.csv"
@@ -417,6 +431,8 @@ class TestCompare:
             [6.0],
             {"label": "k"},
             {"results": [{"label": "k", "energy_mj": 6.0}]},  # a list of results is not read
+            {"energies": [1, 2]},
+            {"energies": None},
         ],
     )
     def test_unrecognised_shape_exits_1(self, capsys, tmp_path, payload):
@@ -431,6 +447,37 @@ class TestCompare:
             f"error: LengthMismatch: {pred}: expected an EnergyResult JSON, "
             "or an object with 'energies'\n"
         )
+
+    @pytest.mark.parametrize(
+        "payload, label",
+        [
+            ({"energies": {"k": None}}, "k"),
+            ({"energies": {"k": float("nan")}}, "k"),  # written as NaN
+            ({"energies": {"k": float("inf")}}, "k"),  # written as Infinity
+            ({"energies": {"k": True}}, "k"),
+            ({"energies": {"k": "5.0"}}, "k"),
+            ({"energies": {"k": 10**400}}, "k"),
+            ({"energy_mj": {"x": 1}}, "kernel"),
+            ({"label": "k", "energy_mj": float("-inf")}, "k"),
+        ],
+    )
+    def test_energy_that_is_not_a_finite_number_exits_1(self, capsys, tmp_path, payload, label):
+        pred = tmp_path / "pred.json"
+        ref = tmp_path / "ref.json"
+        pred.write_text(json.dumps(payload))
+        ref.write_text(json.dumps({"energies": {"k": 5}}))
+        code, out, err = run_cli(capsys, "compare", "--pred", str(pred), "--ref", str(ref))
+        assert (code, out) == (1, "")
+        assert err == f"error: LengthMismatch: {pred}: energy of '{label}' is not a finite number\n"
+
+    def test_integer_energies_compare(self, capsys, tmp_path):
+        pred = tmp_path / "pred.json"
+        ref = tmp_path / "ref.json"
+        pred.write_text(json.dumps({"energies": {"k": 6}}))
+        ref.write_text(json.dumps({"energies": {"k": 5}}))
+        code, out, _ = run_cli(capsys, "compare", "--pred", str(pred), "--ref", str(ref))
+        assert code == 0
+        assert json.loads(out)["mape_percent"] == pytest.approx(20.0)
 
 
 class TestReportAndFixtures:

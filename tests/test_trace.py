@@ -96,6 +96,8 @@ class TestLoadTrace:
             ("# window: a,1.0", "unparsable window bounds 'a,1.0'"),
             ("# window: 1.0,1.0", "window end 1.0 must exceed start 1.0"),
             ("# window: 2.0,1.0", "window end 1.0 must exceed start 2.0"),
+            ("# window: 0,inf", "window end must be finite, got inf"),
+            ("# window: nan,1", "window start must be finite, got nan"),
         ],
     )
     def test_bad_window_comment_reports_line(self, comment, message):
