@@ -234,8 +234,11 @@ class Reader:
                 # the scan's lines, each ended with "\n" as translated line ends are
                 lines = "".join(l + "\n" for l in data.decode("utf-8", errors).splitlines())
                 self._f = io.BytesIO(lines.encode("utf-8", "surrogatepass"))
-        except BaseException:
+        except BaseException as exc:
             self._f.close()
+            if isinstance(exc, UnicodeDecodeError):  # the decode of the translated text
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise error_cls(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
             raise
 
     def __enter__(self):

@@ -27,6 +27,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .catalog import InstructionSpec, OperandType, in_catalog
 from .errors import ParseFailure, UnsupportedInstruction
 
@@ -36,6 +38,7 @@ DEFAULT_ITERATIONS = 1_000_000
 DEFAULT_UNROLL = 5
 
 _LOOP_LABEL = "BB0_1"
+_U32_MAX = 2**32 - 1  # the loop counter is a u32 register
 
 
 class KernelVariant(str, Enum):
@@ -115,6 +118,10 @@ def _chain_registers(head: str, prefix: str, first_free: int, n: int) -> list[tu
     return [(regs[i], regs[i + 1]) for i in range(n)]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def generate_kernel(
     spec: InstructionSpec,
     variant: KernelVariant,
@@ -123,18 +130,20 @@ def generate_kernel(
 ) -> BenchmarkKernel:
     """Emit the PTX microbenchmark for one catalog instruction.
 
-    ``iterations`` sets the loop trip count and ``unroll_factor`` the depth
-    of the dependent instruction chain in the loop body. The Overhead
+    ``iterations`` sets the loop trip count, an integer from 1 to 2**32 - 1
+    (the u32 counter's range), and ``unroll_factor`` the depth of the
+    dependent instruction chain in the loop body. The Overhead
     variant omits the chain lines and changes nothing else.
     """
     if not in_catalog(spec):
         raise UnsupportedInstruction(
             f"{spec.opcode}.{spec.operand_type.value} is not in the benchmark catalog"
         )
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if unroll_factor < 1:
-        raise ValueError("unroll_factor must be >= 1")
+    if not (_is_integer(iterations) and 1 <= iterations <= _U32_MAX):
+        raise ValueError(f"iterations must be an integer from 1 to {_U32_MAX}, got {iterations}")
+    if not (_is_integer(unroll_factor) and unroll_factor >= 1):
+        raise ValueError(f"unroll_factor must be an integer >= 1, got {unroll_factor}")
+    iterations, unroll_factor = int(iterations), int(unroll_factor)
 
     mnemonic = spec.ptx_mnemonic
     entry = entry_name_for(spec)
@@ -292,14 +301,8 @@ def _scan_kernel(lines: list[str]):
 
 
 def _operands(operand_text: str) -> tuple[str | None, list[str]]:
-    """Destination and source registers of one instruction.
-
-    A leading memory operand (``[...]``) is read, not written, so a store
-    has no destination.
-    """
+    """Destination and source registers of one target instruction."""
     head, _, rest = operand_text.partition(",")
-    if head.lstrip().startswith("["):
-        return None, _REG_RE.findall(operand_text)
     dest = _REG_RE.search(head)
     return (dest.group() if dest else None), _REG_RE.findall(rest)
 

@@ -23,6 +23,7 @@ malformed file raises MalformedCapture naming the offending line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class HwCapture:
     def __init__(self, times, channels: dict, r_s: float):
         if not r_s > 0:
             raise MalformedCapture(f"shunt resistance must be > 0, got {r_s}")
+        if not math.isfinite(r_s):
+            raise MalformedCapture(f"shunt resistance must be finite, got {r_s}")
         t = np.asarray(times, dtype=np.float64)
         _check_times(t, MalformedCapture)
         chans = {}
@@ -98,8 +101,8 @@ def _rails(v_s1, v_g1, v_s2, v_g2, i_clamp, v_dps, r_s):
 
 def hw_power(sample: HwSample, r_s: float) -> HwPowerPoint:
     """Evaluate the rig power equation for one capture row (watts)."""
-    if not r_s > 0:
-        raise ValueError("shunt resistance must be > 0")
+    if not 0 < r_s < math.inf:
+        raise ValueError(f"shunt resistance must be finite and > 0, got {r_s}")
     channels = (getattr(sample, name) for name in _CHANNELS)
     return HwPowerPoint(sample.t, *_rails(*channels, r_s))
 

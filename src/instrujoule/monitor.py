@@ -42,7 +42,6 @@ provider (and one clock) per measurement.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import threading
 import time
@@ -72,7 +71,8 @@ class VirtualClock:
     """Deterministic simulation clock.
 
     ``read_cost`` models the latency of one sensor read; the sampling loops
-    advance the clock by it after every reading.
+    advance the clock by it after every reading. A positive step too small
+    to change ``now`` raises ValueError instead of leaving time standing.
     """
 
     def __init__(self, start: float = 0.0, read_cost: float = DEFAULT_READ_COST):
@@ -90,6 +90,8 @@ class VirtualClock:
             raise ValueError("cannot advance a clock backwards")
         if not math.isfinite(dt):
             raise ValueError("cannot advance a clock by an infinite step")
+        if dt > 0 and self.now + dt == self.now:
+            raise ValueError(f"a step of {dt:g} s does not move a clock at {self.now:g} s")
         self.now += dt
 
 
@@ -257,25 +259,21 @@ class _VirtualSampler:
 
 def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.ndarray:
     """The virtual sampler's read times ``t0 + k*step``, bit for bit as Python
-    computes them. Back to back: from k = 0 (the handshake) up to the first k
-    whose time is at or after ``t_end``. At a fixed interval: every k whose
-    time is at most ``t_end`` (plus 1e-12)."""
+    computes them. Back to back: from k = 0 (the handshake, read at ``t0``
+    itself) up to the first k whose time is at or after ``t_end``. At a fixed
+    interval: every k whose time is at most ``t_end`` (plus 1e-12)."""
+    bound = t_end if back_to_back else t_end + 1e-12
+    # the estimate's roundings move a time by a few ulps of the span, less than
+    # a step on any grid that fits in memory; so where a step moves a clock at
+    # the bound, the first time past it has k <= estimate + 1, and where it
+    # cannot, the run fails instead. A grid too large to hold fails in arange.
+    grid = t0 + np.arange(max(np.ceil((bound - t0) / step), 0) + 2) * step
+    k = np.searchsorted(grid, bound, "left" if back_to_back else "right")
+    if k == grid.size:
+        raise ValueError(f"a step of {step:g} s does not move a clock at {bound:g} s")
     if back_to_back:
-        n = _first_k(t0, step, t_end, operator.ge)
-        return np.concatenate(([t0], t0 + np.arange(1, n + 1) * step))
-    return t0 + np.arange(_first_k(t0, step, t_end + 1e-12, operator.gt)) * step
-
-
-def _first_k(t0: float, step: float, bound: float, reached) -> int:
-    """The first k >= 0 with ``reached(t0 + k*step, bound)``."""
-    k = max(math.ceil((bound - t0) / step), 0)
-    # the estimate can miss by a rounding; t0 + k*step never decreases as k
-    # grows, so walking from it to the first k that holds is exact
-    while k > 0 and reached(t0 + (k - 1) * step, bound):
-        k -= 1
-    while not reached(t0 + k * step, bound):
-        k += 1
-    return k
+        grid[0] = t0  # the handshake's time: -0.0 + 0.0 is +0.0
+    return grid[: k + back_to_back]
 
 
 class _SwitchInterval:

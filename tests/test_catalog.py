@@ -76,6 +76,17 @@ class TestSpecValidation:
                 table_row="x",
             )
 
+    @pytest.mark.parametrize("arity", [0, 4])
+    def test_unsupported_arity(self, arity):
+        with pytest.raises(ValueError, match=f"^unsupported arity {arity}$"):
+            InstructionSpec(
+                opcode="add",
+                operand_type=OperandType.U32,
+                category=Category.INTEGER_ARITHMETIC,
+                arity=arity,
+                table_row="x",
+            )
+
     def test_half_implies_f16(self):
         for spec in list_catalog():
             if spec.category == Category.HALF:
@@ -84,6 +95,11 @@ class TestSpecValidation:
     def test_unknown_lookup_raises(self):
         with pytest.raises(UnsupportedInstruction):
             find_instruction("frobnicate", "u32")
+
+    def test_lookup_by_operand_type_member(self):
+        assert find_instruction("div", OperandType.U32) is find_instruction("div", "u32")
+        with pytest.raises(UnsupportedInstruction, match="^frobnicate.f64 is not in the benchmark catalog$"):
+            find_instruction("frobnicate", OperandType.F64)
 
     def test_in_catalog_checks_full_equality(self):
         spec = find_instruction("add", "u32")

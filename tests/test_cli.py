@@ -57,6 +57,11 @@ class TestGen:
         assert code == 1
         assert "UnsupportedInstruction" in err
 
+    def test_loop_count_past_u32_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--inst", "add.u32", "--iters", "4294967296")
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: iterations must be an integer from 1 to 4294967295, got 4294967296\n"
+
     def test_malformed_inst_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--inst", "div")
         assert code == 2
@@ -187,6 +192,8 @@ class TestMeasure:
             (["--strategy", "mtsm", "--read-cost", "nan"], "read_cost must be > 0"),
             (["--strategy", "sma", "--lead", "nan"], "lead and tail must be >= 0"),
             (["--strategy", "sma", "--tail", "nan"], "lead and tail must be >= 0"),
+            (["--strategy", "sma", "--interval", "nan"], "fixed-interval sampling needs interval > 0"),
+            (["--strategy", "sma", "--interval", "0"], "fixed-interval sampling needs interval > 0"),
         ],
     )
     def test_nan_run_parameter_exits_1(self, capsys, tmp_path, extra, message):
@@ -234,6 +241,39 @@ class TestMeasure:
         )
         assert code == 2
         assert "workload duration must be > 0" in err
+
+    @pytest.mark.parametrize("strategy, step", [("mtsm", "0.0005"), ("papi", "1"), ("sma", "1")])
+    def test_replay_stamped_at_1e20_s_exits_1(self, capsys, tmp_path, strategy, step):
+        # no step moves a clock there: the run fails instead of reporting 0 mJ over 0 s
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,power_mw\n1e20,100\n2e20,100\n")
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", strategy,
+            "--provider", f"replay:{trace_path}", "--workload", "synth:1",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: ValueError: a step of {step} s does not move a clock at 1e+20 s\n"
+
+    def test_workload_too_long_to_grid_exits_1(self, capsys, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,power_mw\n0,100\n5,100\n")
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm",
+            "--provider", f"replay:{trace_path}", "--workload", "synth:1e300",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: Maximum allowed size exceeded\n"
+
+    def test_grid_too_large_for_memory_exits_1(self, capsys, tmp_path):
+        # 2e15 reads, 14.2 PiB: one line, no traceback
+        model_path = write_model(tmp_path)
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm",
+            "--provider", f"synth:{model_path}", "--workload", "synth:1e12",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "MemoryError: Unable to allocate" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_mtsm_synth_result_json(self, capsys, tmp_path):
         model_path = write_model(tmp_path, kernel_duration=0.5, noise_stddev=0.0)
@@ -385,6 +425,25 @@ class TestAnalyzeHw:
         assert windowed.startswith(b"# window: 1,2\nt_s,power_mw\n0,135300\n0.001,135300\n")
         assert windowed == b"# window: 1,2\n" + plain_path.read_bytes()
         assert load_trace(windowed_path).window == KernelWindow(1.0, 2.0)
+
+    @pytest.mark.parametrize("out", ["-", "p.csv"])
+    def test_infinite_shunt_exits_1(self, capsys, tmp_path, out):
+        path = tmp_path / "cap.csv"
+        path.write_text(self.CSV.replace("r_s_ohm: 0.1", "r_s_ohm: inf"))
+        code, stdout, err = run_cli(
+            capsys, "analyze-hw", "--capture", str(path), "--window", "0,1",
+            "--out", out if out == "-" else str(tmp_path / out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: MalformedCapture: shunt resistance must be finite, got inf\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_capture_that_is_not_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cap.csv"
+        path.write_bytes(self.CSV.encode().replace(b"\n0.001,12.1,", b"\n0.001,\xff12.1,"))
+        code, out, err = run_cli(capsys, "analyze-hw", "--capture", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: MalformedCapture: line 4: byte 0xff is not UTF-8\n"
 
     def test_missing_shunt_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ import dataclasses
 import difflib
 import hashlib
 
+import numpy as np
 import pytest
 
 from instrujoule import (
@@ -86,6 +87,11 @@ class TestGenerateOverhead:
         assert report.all_pass
         assert report.check("opcode_count").passed
 
+    def test_unknown_check_raises_key_error(self):
+        report = validate_kernel(generate_kernel(DIV_U32, KernelVariant.TOTAL))
+        with pytest.raises(KeyError, match="frobnicate"):
+            report.check("frobnicate")
+
     def test_same_entry_name_as_total(self):
         total = generate_kernel(DIV_U32, KernelVariant.TOTAL)
         over = generate_kernel(DIV_U32, KernelVariant.OVERHEAD)
@@ -114,12 +120,32 @@ class TestGeneratePreconditions:
             generate_kernel(rogue, KernelVariant.TOTAL)
 
     def test_bad_iterations(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^iterations must be an integer from 1 to 4294967295, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [-7, 2**32, 2.5, True, np.float64(3.0)])
+    def test_iterations_the_u32_counter_cannot_hold(self, iterations):
+        # the counter holds 1 .. 2**32 - 1; a float or bool would be written
+        # into the PTX as it prints
+        with pytest.raises(ValueError, match=f"^iterations must be an integer from 1 to 4294967295, got {iterations}$"):
+            generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=iterations)
+
     def test_bad_unroll(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unroll_factor must be an integer >= 1, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, unroll_factor=0)
+
+    @pytest.mark.parametrize("unroll", [2.5, True])
+    def test_non_integer_unroll(self, unroll):
+        with pytest.raises(ValueError, match=f"^unroll_factor must be an integer >= 1, got {unroll}$"):
+            generate_kernel(DIV_U32, KernelVariant.TOTAL, unroll_factor=unroll)
+
+    @pytest.mark.parametrize("iterations", [2**32 - 1, np.uint32(2**32 - 1), np.int64(7)])
+    def test_largest_and_numpy_loop_counts(self, iterations):
+        kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=iterations, unroll_factor=np.int8(5))
+        assert f"mov.u32 \t%r4, {int(iterations)};" in kernel.ptx_text
+        assert type(kernel.iterations) is type(kernel.unroll_factor) is type(kernel.n_instructions) is int
+        assert kernel.n_instructions == int(iterations) * 5
+        assert validate_kernel(kernel).all_pass
 
 
 class TestWholeCatalog:

@@ -279,9 +279,31 @@ NOT_PLAIN = {
 @pytest.mark.parametrize("where", ["comment", "body"])
 def test_other_line_breaks_and_invalid_utf8_are_not_plain(name, where):
     # such text is rebuilt from str.splitlines() and scanned, so its lines split
-    # where Python splits them, and bytes that are not UTF-8 raise the decoder's error
+    # where Python splits them, and bytes that are not UTF-8 fail with their line
     wide = NOT_PLAIN[name]
     head = b"# r_s_ohm: 0.1 " + wide + b"x\n" + C.split("\n", 1)[1].encode()
     body = "".join(CAPTURE_ROWS).encode()
     data = head + body if where == "comment" else C.encode() + wide + body
     assert _csv._survey(io.BytesIO(data)) is None
+
+
+@pytest.mark.parametrize(
+    "load, data, error, message",
+    [
+        (load_trace, b"t_s,power_mw\n0,1\n1,\xff2\n", MalformedTrace, "line 3: byte 0xff"),
+        # lines counted with their ends translated: "\r\n" is one, a lone "\r" one too
+        (load_trace, b"# x\r\nt_s,power_mw\r0,1\r\n1,2\n2,3\xe2\x80\n", MalformedTrace,
+         "line 5: byte 0xe2"),
+        (load_hw_capture, b"# r_s_ohm: 0.1\n# scope: 5 \xb5s/div\n" + C.split("\n", 1)[1].encode(),
+         MalformedCapture, "line 2: byte 0xb5"),
+    ],
+)
+def test_bytes_that_are_not_utf8_name_their_line(load, data, error, message, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    for source in (path, data, io.BytesIO(data)):
+        with pytest.raises(error) as exc:
+            load(source)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{message} is not UTF-8"
+        assert exc.value.line == int(message.split()[1].rstrip(":"))

@@ -113,8 +113,13 @@ class TestHwPower:
         assert p1.p_total == pytest.approx(alpha**2 * p0.p_total, rel=1e-12)
 
     def test_bad_shunt_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^shunt resistance must be finite and > 0, got 0.0$"):
             hw_power(HwSample(0.0, 12, 12, 3, 3, 0, 12), r_s=0.0)
+
+    @pytest.mark.parametrize("r_s", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_shunt_rejected(self, r_s):
+        with pytest.raises(ValueError, match=f"^shunt resistance must be finite and > 0, got {r_s}$"):
+            hw_power(HwSample(0.0, 12, 12, 3, 3, 0, 12), r_s=r_s)
 
 
 class TestCaptureIO:
@@ -169,6 +174,22 @@ class TestCaptureValidation:
     def test_non_positive_shunt(self, r_s):
         with pytest.raises(MalformedCapture, match="shunt resistance must be > 0"):
             make_capture(r_s=r_s)
+
+    def test_infinite_shunt(self):
+        with pytest.raises(MalformedCapture, match="^shunt resistance must be finite, got inf$"):
+            make_capture(r_s=float("inf"))
+
+    def test_infinite_shunt_comment(self):
+        # both shunt rails would read zero, leaving the clamp rail alone
+        bad = TestCaptureIO.CSV.replace("r_s_ohm: 0.1", "r_s_ohm: inf")
+        with pytest.raises(MalformedCapture, match="^shunt resistance must be finite, got inf$"):
+            load_hw_capture(bad.encode())
+
+    def test_immutable(self):
+        capture = make_capture()
+        with pytest.raises(AttributeError, match="^HwCapture is immutable$"):
+            capture.r_s = 1.0
+        assert capture.r_s != 1.0
 
     def test_channel_length_differs_from_timestamps(self):
         capture = make_capture()

@@ -211,9 +211,11 @@ class TestVirtualGrid:
         from instrujoule.monitor import _read_times
 
         rng = np.random.default_rng(2027)
-        checked = 0
+        checked = refused = 0
         for _ in range(250):
-            t0 = float(rng.choice([0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4)]))
+            t0 = float(rng.choice(
+                [0.0, -0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e4), 10.0 ** rng.uniform(4.0, 12.0)]
+            ))
             step = float(10.0 ** rng.uniform(-5.0, -1.0))
             k = int(rng.integers(0, 300))
             on_grid = t0 + k * step
@@ -223,13 +225,44 @@ class TestVirtualGrid:
                 ends += [point, np.nextafter(point, -np.inf), np.nextafter(point, np.inf)]
             for t_end in ends:
                 for back_to_back in (True, False):
-                    want = loop_read_times(t0, step, float(t_end), back_to_back)
-                    got = _read_times(t0, step, float(t_end), back_to_back)
-                    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), (
-                        t0, step, float(t_end), back_to_back,
-                    )
+                    case = (t0, step, float(t_end), back_to_back)
+                    want = loop_read_times(*case)
+                    try:
+                        got = _read_times(*case)
+                    except ValueError as exc:
+                        # only where a step cannot move a clock at the end, as at 1e12 s
+                        # with steps under 61 us; the loops' times repeat there
+                        assert float(t_end) + step == float(t_end), case
+                        assert str(exc).startswith(f"a step of {step:g} s does not move a clock")
+                        assert np.any(np.diff(want) == 0), case
+                        refused += 1
+                        continue
+                    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), case
                     checked += 1
-        assert checked == 250 * 8 * 2
+        assert checked + refused == 250 * 8 * 2
+        assert refused < checked / 100
+
+    def test_a_step_too_fine_for_the_clock_is_refused(self):
+        from instrujoule.monitor import _read_times
+
+        # at 1e12 s doubles are 122 us apart: the loops' times repeat, and a
+        # fixed-interval grid runs past its estimate before it passes the end
+        want = loop_read_times(1e12, 1e-5, 1e12 + 0.01, False)
+        assert np.any(np.diff(want) == 0)
+        with pytest.raises(ValueError, match=r"^a step of 1e-05 s does not move a clock at 1e\+12 s$"):
+            _read_times(1e12, 1e-5, 1e12 + 0.01, False)
+        # reads back to back stop at the first time at or after the end, within the grid
+        got = _read_times(1e12, 1e-5, 1e12 + 0.01, True)
+        assert got.tobytes() == np.array(loop_read_times(1e12, 1e-5, 1e12 + 0.01, True)).tobytes()
+
+    def test_a_clock_started_at_negative_zero(self):
+        # the handshake reads at t0 itself; a fixed-interval grid starts at t0 + 0*step
+        mtsm = run_mtsm(ConstantPowerProvider(1.0), TimedWorkload(0.01), clock=VirtualClock(start=-0.0))
+        sma = run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.01), lead=0.0, tail=0.0,
+                      clock=VirtualClock(start=-0.0))
+        assert math.copysign(1.0, mtsm.trace.times[0]) == -1.0
+        assert math.copysign(1.0, mtsm.flag_timeline[0]) == -1.0
+        assert math.copysign(1.0, sma.times[0]) == 1.0
 
     def test_mtsm_reads_the_handshake_then_one_grid(self):
         provider = RecordingProvider()
@@ -281,6 +314,16 @@ class TestNanRunParameters:
             clock.advance(float("nan"))
         assert clock.now == 1.0
 
+    @pytest.mark.parametrize("interval", [0.0, -0.015, float("nan")])
+    def test_sampler_interval(self, interval):
+        with pytest.raises(ValueError, match="^fixed-interval sampling needs interval > 0$"):
+            SamplerConfig(interval)
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
+    def test_workload_duration(self, seconds):
+        with pytest.raises(ValueError, match="^workload duration must be > 0$"):
+            TimedWorkload(seconds)
+
     @pytest.mark.parametrize("lead, tail", [(float("nan"), 0.1), (0.1, float("nan"))])
     def test_sma_lead_and_tail(self, lead, tail):
         with pytest.raises(ValueError, match="lead and tail must be >= 0"):
@@ -291,8 +334,8 @@ INF = float("inf")
 
 
 class TestInfiniteRunParameters:
-    # each must fail at its guard: past it, _first_k overflows on an infinite
-    # bound or converts a NaN to an integer
+    # each must fail at its guard: past it, _read_times would size its grid
+    # from an infinite or NaN time and fail with numpy's message instead
     @pytest.mark.parametrize("start", [float("nan"), INF, -INF])
     def test_clock_start(self, start):
         with pytest.raises(ValueError, match="clock start must be finite"):
@@ -348,6 +391,49 @@ class TestWorkloadGuards:
         # the sampler thread is joined on the way out (see conftest)
         with pytest.raises(ValueError, match="KernelLaunchWorkload needs a synthetic provider"):
             run_mtsm(ConstantPowerProvider(100.0), KernelLaunchWorkload(), clock=RealClock())
+
+
+class TestClockThatCannotMove:
+    # every run fails at once where its clock cannot move or its grid cannot
+    # be held, instead of walking to the end or reporting a 0 s run
+    def test_advance(self):
+        clock = VirtualClock(start=1e20)
+        clock.advance(0.0)
+        with pytest.raises(ValueError, match=r"^a step of 0.0005 s does not move a clock at 1e\+20 s$"):
+            clock.advance(0.0005)
+        assert clock.now == 1e20
+        clock.advance(1e5)
+        assert clock.now == 1e20 + 1e5
+
+    @pytest.mark.parametrize("strategy, step", [("mtsm", "0.0005"), ("papi", "1"), ("sma", "1")])
+    def test_a_run_at_1e20_s(self, strategy, step):
+        # the MTSM handshake's read cost, or the 1 s workload and SMA lead
+        with pytest.raises(ValueError, match=rf"^a step of {step} s does not move a clock at 1e\+20 s$"):
+            RUNNERS[strategy](ConstantPowerProvider(1.0), TimedWorkload(1.0), clock=VirtualClock(start=1e20))
+
+    @pytest.mark.parametrize(
+        "run, error, message",
+        [
+            pytest.param(lambda p: run_mtsm(p, TimedWorkload(1e300)), ValueError,
+                         "^Maximum allowed size exceeded$", id="mtsm-1e300-s"),
+            pytest.param(lambda p: run_mtsm(SyntheticDeviceProvider(SyntheticModel(kernel_duration=1e300)),
+                                            KernelLaunchWorkload()), ValueError,
+                         "^Maximum allowed size exceeded$", id="mtsm-1e300-s-kernel-launch"),
+            pytest.param(lambda p: run_sma(p, TimedWorkload(1e300), lead=1e300, tail=0.0), ValueError,
+                         "^Maximum allowed size exceeded$", id="sma-1e300-s-lead"),
+            # the 1 s workload after the lead cannot move the clock
+            pytest.param(lambda p: run_sma(p, TimedWorkload(1.0), lead=1e300), ValueError,
+                         r"^a step of 1 s does not move a clock at 1e\+300 s$", id="sma-1e300-s-lead-then-1-s"),
+            # 2e15 reads, 14.2 PiB: numpy refuses the allocation at once
+            pytest.param(lambda p: run_mtsm(p, TimedWorkload(1e12)), MemoryError,
+                         "^Unable to allocate", id="mtsm-1e12-s"),
+        ],
+    )
+    def test_a_grid_too_large_to_hold(self, run, error, message):
+        began = time.perf_counter()
+        with pytest.raises(error, match=message):
+            run(ConstantPowerProvider(1.0))
+        assert time.perf_counter() - began < 1.0
 
 
 class TestResultFieldsArePythonFloats:

@@ -78,6 +78,12 @@ class TestFixtureLoad:
                 )
                 assert populated >= 31  # everything except Maxwell half precision
 
+    def test_unknown_row_raises_key_error(self, table):
+        with pytest.raises(KeyError, match="frobnicate"):
+            table.row("frobnicate")
+        with pytest.raises(KeyError):
+            table.row("sqrt", Category.HALF)
+
     def test_row_count_matches_reference(self, table):
         assert len(table) == 32
 

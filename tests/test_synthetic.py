@@ -34,6 +34,10 @@ class TestModelValidation:
         with pytest.raises(InvalidModel):
             SyntheticModel(noise_stddev=-1.0)
 
+    def test_negative_decay_steps_rejected(self):
+        with pytest.raises(InvalidModel, match="^decay_steps must be >= 0, got -1$"):
+            SyntheticModel(decay_steps=-1)
+
     def test_zero_sample_rate_rejected(self):
         with pytest.raises(InvalidModel):
             SyntheticModel(sample_rate=0.0)
@@ -51,6 +55,7 @@ class TestModelValidation:
             ("p_kernel", "power levels must be >= 0"),
             ("ramp_mw", "power levels must be >= 0"),
             ("kernel_duration", "kernel_duration must be > 0, got nan"),
+            ("decay_steps", "decay_steps must be >= 0, got nan"),
         ],
     )
     def test_nan_rejected(self, field, message):

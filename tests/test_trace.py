@@ -50,6 +50,17 @@ class TestPowerTraceInvariants:
         with pytest.raises(ValueError):
             trace.times[0] = 5.0
 
+    def test_equality_with_other_types(self):
+        trace = PowerTrace([0.0], [1.0])
+        assert trace.__eq__((trace.times, trace.powers)) is NotImplemented
+        assert trace != "PowerTrace(1 samples)"
+        assert trace == PowerTrace([0.0], [1.0])
+
+    def test_repr(self):
+        trace = PowerTrace([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])
+        assert repr(trace) == "PowerTrace(3 samples)"
+        assert repr(trace.with_window(KernelWindow(0.25, 0.75))) == "PowerTrace(3 samples, window=[0.25, 0.75])"
+
     def test_window_end_must_exceed_start(self):
         with pytest.raises(ValueError):
             KernelWindow(1.0, 1.0)
