@@ -14,14 +14,15 @@ than a quarter of the rows hold such a value, are formatted by ``%`` alone.
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
 counts its lines and checks that the text is plain: UTF-8 whose lines and
-fields the scan and numpy split alike. ``np.loadtxt`` parses an ASCII body
-2048 lines at a time into one ``(width, n)`` array allocated once, checking
-each chunk; on any failure a line-by-line scan of the body accepts exactly
-what ``float()`` accepts and reports the offending line.
+fields the scan and numpy split alike. Numpy only parses an ASCII body, 2048
+lines at a time into one ``(width, n)`` array, and the trace or capture built
+from it checks the rows once; where either fails, a line-by-line scan accepts
+exactly what ``float()`` accepts and reports the offending line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
@@ -266,32 +267,31 @@ class Reader:
             out.append(self._next_line())
         return out
 
-    def rows(self, header: str, width: int, width_message: str, nonnegative=None):
-        """Check the header, then return the rows as a C-contiguous ``(width, n)``
-        float64 array. Blank lines are skipped; values must be finite and the
-        first column strictly increasing. ``width_message`` gets ``line`` and
-        ``fields``; ``nonnegative=(column, message)`` rejects negatives there."""
+    def rows(self, header: str, width: int, width_message: str, build, nonnegative=None):
+        """Check the header, then return ``build(*columns)``, the one check of
+        the body's ``width`` float64 columns. If it rejects numpy's columns, the
+        scan names the line: it skips blank lines and wants finite values, a
+        strictly increasing first column and no negative in ``nonnegative=
+        (column, message)``. ``width_message`` gets ``line`` and ``fields``."""
         line_no, line = self._line_no, self._next_line()
         got = "<end of file>" if line is None else line.strip()
         if got != header:
             raise self._error(f"expected header '{header}', got '{got}'", line_no)
         body = self._f.tell()
-        cols = self._loadtxt(width, nonnegative)
-        if cols is None:
-            self._f.seek(body)
-            cols = self._scan(width, width_message, nonnegative)
-        return cols
+        if (cols := self._loadtxt(width)) is not None:
+            with contextlib.suppress(self._error):
+                return build(*cols)
+        self._f.seek(body)
+        return build(*self._scan(width, width_message, nonnegative))
 
-    def _loadtxt(self, width, nonnegative) -> np.ndarray | None:
+    def _loadtxt(self, width) -> np.ndarray | None:
         """The body parsed by numpy a chunk of lines at a time into one array
-        sized by the line count, or None when numpy cannot parse it or a check
-        fails."""
+        sized by the line count, or None when numpy cannot parse it."""
         if self._plain is None or self._f.tell() < self._plain[1]:
             return None
         # the lines left: each line read so far ended with "\n" or was the last
         n = self._plain[0] - (self._line_no - 1)
-        out = np.empty((width, n))
-        filled, last = 0, -math.inf
+        out, filled = np.empty((width, n)), 0
         with warnings.catch_warnings():
             # loadtxt warns of a chunk that is all blank lines, which holds no row
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -303,19 +303,11 @@ class Reader:
                     )
                 except ValueError:
                     return None
-                k, t = len(rows), rows[:, 0]
-                if k == 0:  # blank lines only
-                    continue
-                if not (
-                    rows.shape[1] == width
-                    and np.isfinite(rows).all()
-                    and t[0] > last
-                    and (np.diff(t) > 0).all()
-                    and (nonnegative is None or (rows[:, nonnegative[0]] >= 0).all())
-                ):
+                k = len(rows)
+                if k and rows.shape[1] != width:
                     return None
                 out[:, filled:filled + k] = rows.T
-                filled, last = filled + k, t[-1]
+                filled += k
         # fewer rows than lines only when blank lines were skipped
         return out if filled == n else np.ascontiguousarray(out[:, :filled])
 

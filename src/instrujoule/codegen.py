@@ -254,9 +254,6 @@ _INSTR_RE = re.compile(r"^\s*(?:@%p\d+\s+)?([a-z][\w.]*)\s+(.*);\s*$")
 _LABEL_RE = re.compile(r"^\s*(\$?\w+):\s*$")
 _RET_RE = re.compile(r"^\s*ret\s*;")
 _REG_RE = re.compile(r"%[a-z]+\d+")
-# Every whole run of [\w.] characters in a line, and every such run led by a
-# minus sign that does not follow one: the literals a loop bound can match.
-_TOKEN_RE = re.compile(r"(?<![\w.])(?=(-?[\w.]+))")
 
 
 def _scan_kernel(lines: list[str]):
@@ -317,8 +314,7 @@ def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
     """
     if not kernel.ptx_text.strip():
         raise ParseFailure("empty kernel text")
-    lines = kernel.ptx_text.splitlines()
-    preamble, body, postlude = _scan_kernel(lines)
+    preamble, body, postlude = _scan_kernel(kernel.ptx_text.splitlines())
 
     mnemonic = kernel.spec.ptx_mnemonic
     expected = kernel.unroll_factor if kernel.variant == KernelVariant.TOTAL else 0
@@ -333,10 +329,10 @@ def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
             break
 
     bound = str(kernel.iterations)
-    # the bound is looked for in the whole raw line, its comment included
+    # the mov's own last operand, its comment already stripped
     bound_ok = any(
-        mn.startswith("mov.") and bound in _TOKEN_RE.findall(lines[no - 1])
-        for mn, _, no in preamble
+        mn.startswith("mov.") and operands.rpartition(",")[2].strip() == bound
+        for mn, operands, _ in preamble
     )
     store_ok = any(mn.startswith("st.global") for mn, _, _ in postlude)
     return ValidationReport((

@@ -15,11 +15,13 @@ between a total and an overhead run by the instruction count:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codegen import _is_integer
 from .errors import EmptyWindow, MalformedTrace, ZeroInstructions
 from .trace import KernelWindow, PowerTrace
 
@@ -60,8 +62,10 @@ def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -
     A negative result (overhead exceeded total: noise swamped the signal) is
     returned as-is; callers flag it rather than clamping.
     """
-    if n_instructions < 1:
-        raise ZeroInstructions(f"n_instructions must be >= 1, got {n_instructions}")
+    if not (_is_integer(n_instructions) and 1 <= n_instructions <= sys.float_info.max):
+        raise ZeroInstructions(
+            f"n_instructions must be an integer from 1 to {sys.float_info.max:g}, got {n_instructions}"
+        )
     return (e_total - e_overhead) / n_instructions * 1000.0
 
 

@@ -139,5 +139,7 @@ def load_hw_capture(source) -> HwCapture:
                     raise MalformedCapture(f"unparsable shunt value '{payload}'", line_no) from None
         if r_s is None:
             raise MissingShunt("capture has no '# r_s_ohm: <value>' comment")
-        times, *cols = reader.rows(_HEADER, 7, "expected 7 fields, got {fields}")
-    return HwCapture(times, dict(zip(_CHANNELS, cols)), r_s)
+        return reader.rows(
+            _HEADER, 7, "expected 7 fields, got {fields}",
+            lambda times, *cols: HwCapture(times, dict(zip(_CHANNELS, cols)), r_s),
+        )

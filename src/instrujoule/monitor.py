@@ -273,7 +273,11 @@ def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.
         raise ValueError(f"a step of {step:g} s does not move a clock at {bound:g} s")
     if back_to_back:
         grid[0] = t0  # the handshake's time: -0.0 + 0.0 is +0.0
-    return grid[: k + back_to_back]
+    times = grid[: k + back_to_back]
+    # a step under one ulp of the times moves the clock by whole ulps, two reads to one time
+    if not (times[1:] > times[:-1]).all():
+        raise ValueError(f"a step of {step:g} s repeats read times on a clock at {t0:g} s")
+    return times
 
 
 class _SwitchInterval:

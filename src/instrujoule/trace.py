@@ -131,10 +131,10 @@ def load_trace(source) -> PowerTrace:
     with _csv.Reader(source, MalformedTrace) as reader:
         comments = reader.comments(limit=1)
         window = _parse_window_comment(comments[0], 1) if comments else None
-        times, powers = reader.rows(
-            _HEADER, 2, "expected 't,power', got '{line}'", nonnegative=(1, "negative power")
+        return reader.rows(
+            _HEADER, 2, "expected 't,power', got '{line}'",
+            lambda times, powers: PowerTrace(times, powers, window), (1, "negative power"),
         )
-    return PowerTrace(times, powers, window)
 
 
 def _parse_window_comment(line: str, line_no: int) -> KernelWindow:

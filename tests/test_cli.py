@@ -254,6 +254,17 @@ class TestMeasure:
         assert (code, out) == (1, "")
         assert err == f"error: ValueError: a step of {step} s does not move a clock at 1e+20 s\n"
 
+    def test_replay_stamped_at_1e12_s_with_a_sub_ulp_read_cost_exits_1(self, capsys, tmp_path):
+        # 0.1 ms reads move a clock at 1e12 s by whole ulps of 122 us, repeating times
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,power_mw\n1e12,100\n1.000000001e12,100\n")
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm", "--provider", f"replay:{trace_path}",
+            "--workload", "synth:1", "--read-cost", "1e-4",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: a step of 0.0001 s repeats read times on a clock at 1e+12 s\n"
+
     def test_workload_too_long_to_grid_exits_1(self, capsys, tmp_path):
         trace_path = tmp_path / "t.csv"
         trace_path.write_text("t_s,power_mw\n0,100\n5,100\n")

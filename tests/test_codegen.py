@@ -332,10 +332,13 @@ class TestValidatorMessages:
             # the float harness zeroes %r3 with a mov before the loop
             ("mad", "f32", None, 0, True, "loop counter initialized to 0"),
             ("div", "u32", "-5", -5, True, "loop counter initialized to -5"),
-            ("div", "u32", "-7", 7, True, "loop counter initialized to 7"),
+            ("div", "u32", "-7", 7, False, "no mov of literal 7 before the loop"),
             ("div", "u32", "x-5", -5, False, "no mov of literal -5 before the loop"),
-            ("div", "u32", "--5", -5, True, "loop counter initialized to -5"),
+            ("div", "u32", "--5", -5, False, "no mov of literal -5 before the loop"),
             ("div", "u32", "-50", -5, False, "no mov of literal -5 before the loop"),
+            # the count only in the comment, or negated
+            ("div", "u32", "7; // 1000000", 1_000_000, False, "no mov of literal 1000000 before the loop"),
+            ("div", "u32", "-1000000", 1_000_000, False, "no mov of literal 1000000 before the loop"),
         ],
     )
     def test_loop_bound_of_hand_built_counts(self, opcode, type_, literal, iterations, passed, detail):

@@ -1,11 +1,12 @@
 """Malformed and unusual CSV input for both formats.
 
-The reader parses the body in one numpy pass and falls back to a
-line-by-line scan when that pass rejects the text or a check fails. These
-cases pin what the scan reports: the error class, the message and the line
+The reader parses the body in one numpy pass, and the trace or capture
+built from its columns checks them; it falls back to a line-by-line scan
+when numpy cannot parse the text or the build rejects the rows. These cases
+pin what the scan reports: the error class, the message and the line
 number. They also pin input that the numpy pass rejects but the scan
-accepts, with the arrays it loads, and fuzz that whatever the numpy pass
-accepts the scan accepts too, with identical arrays.
+accepts, with the arrays it loads, and fuzz that every load gives the same
+arrays or the same error whether or not the numpy pass runs.
 """
 
 import io
@@ -184,10 +185,10 @@ MUTATION_FIELDS = ["inf", "-Infinity", "nan", "1e999", "-0", "+5", "1_0", ".5", 
 FUZZ_BASES = {
     "trace": (
         "# window: 0.001,0.004\n" + H + "".join(f"{i * 1e-3:.9g},{90 + 7 * i}\n" for i in range(6)),
-        MalformedTrace, 1, 2, (1, "negative power")),
+        load_trace),
     "capture": (
         C + "".join(f"{i * 2e-4:.9g},12.1,12,3.4,3.3,1{i},12\n" for i in range(4)),
-        MalformedCapture, None, 7, None),
+        load_hw_capture),
 }
 
 
@@ -209,24 +210,38 @@ def _mutate(text: str, rng) -> str:
     return text
 
 
-def _body_reader(text: str, cls, limit) -> _csv.Reader:
-    reader = _csv.Reader(text.encode(), cls)
-    reader.comments(limit)
-    reader._next_line()  # the header, checked elsewhere
-    return reader
+def _fuzz_outcome(load, text: str):
+    try:
+        result = load(text.encode())
+    except (MalformedTrace, MissingShunt) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    columns = [result.times] + (
+        [result.powers] if hasattr(result, "powers") else list(result.channels.values())
+    )
+    extra = getattr(result, "window", None) or getattr(result, "r_s", None)
+    return [c.tobytes() for c in columns], extra
 
 
 @pytest.mark.parametrize("name", sorted(FUZZ_BASES))
-def test_numpy_path_accepts_only_what_the_scan_accepts(name):
-    base, cls, limit, width, nonnegative = FUZZ_BASES[name]
+def test_numpy_path_accepts_only_what_the_scan_accepts(name, monkeypatch):
+    # every mutated text loads, or fails with the same class, message and
+    # line, whether numpy parses its body and the build checks it, or the
+    # line scan checks it alone
+    base, load = FUZZ_BASES[name]
+    loadtxt, parsed = _csv.Reader._loadtxt, []
+
+    def counted(self, width):
+        cols = loadtxt(self, width)
+        parsed.append(cols is not None)
+        return cols
+
     rng = np.random.default_rng(2024)
-    accepted = 0
     for _ in range(3000):
         text = _mutate(base, rng)
-        fast = _body_reader(text, cls, limit)._loadtxt(width, nonnegative)
-        if fast is None:
-            continue
-        accepted += 1
-        scanned = _body_reader(text, cls, limit)._scan(width, "expected {fields}", nonnegative)
-        assert (fast.shape, fast.tobytes()) == (scanned.shape, scanned.tobytes())
-    assert accepted >= 600
+        with monkeypatch.context() as m:
+            m.setattr(_csv.Reader, "_loadtxt", counted)
+            fast = _fuzz_outcome(load, text)
+        with monkeypatch.context() as m:
+            m.setattr(_csv.Reader, "_loadtxt", lambda self, width: None)
+            assert _fuzz_outcome(load, text) == fast, text
+    assert sum(parsed) >= 600

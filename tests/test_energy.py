@@ -1,6 +1,7 @@
 """Energy arithmetic against hand-computed and exact-arithmetic oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -138,9 +139,20 @@ class TestInstructionEnergy:
     def test_negative_net_propagates(self):
         assert instruction_energy(5.0, 10.0, 1000) < 0
 
-    def test_zero_instructions(self):
-        with pytest.raises(ZeroInstructions):
-            instruction_energy(10.0, 5.0, 0)
+    @pytest.mark.parametrize("n", [
+        0, -3, np.int64(0), float("nan"), float("inf"), 2.5, 1.0, True, np.bool_(True), "3", 10**400,
+    ], ids=["0", "-3", "int64-0", "nan", "inf", "2.5", "1.0", "True", "bool_-True", "str", "10**400"])
+    def test_zero_instructions(self, n):
+        # a count is an int or a numpy integer, not a bool, from 1 to the largest float
+        message = f"n_instructions must be an integer from 1 to 1.79769e+308, got {n}"
+        with pytest.raises(ZeroInstructions) as exc:
+            instruction_energy(10.0, 5.0, n)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [1, np.int64(7), np.uint8(255), int(sys.float_info.max)],
+                             ids=["1", "int64-7", "uint8-255", "float-max"])
+    def test_integer_counts(self, n):
+        assert instruction_energy(10.0, 5.0, n) == 5.0 / float(n) * 1000.0
 
     def test_exactness_against_fraction_oracle(self):
         # acceptance-grade check lives in test_acceptance; keep a smaller

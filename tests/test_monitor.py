@@ -230,11 +230,14 @@ class TestVirtualGrid:
                     try:
                         got = _read_times(*case)
                     except ValueError as exc:
-                        # only where a step cannot move a clock at the end, as at 1e12 s
-                        # with steps under 61 us; the loops' times repeat there
-                        assert float(t_end) + step == float(t_end), case
-                        assert str(exc).startswith(f"a step of {step:g} s does not move a clock")
+                        # only where the loops' times repeat, as at 1e12 s with steps
+                        # under 122 us; a step under 61 us cannot move the clock at all
                         assert np.any(np.diff(want) == 0), case
+                        if "does not move" in str(exc):
+                            assert float(t_end) + step == float(t_end), case
+                            assert str(exc).startswith(f"a step of {step:g} s does not move a clock")
+                        else:
+                            assert str(exc) == f"a step of {step:g} s repeats read times on a clock at {t0:g} s"
                         refused += 1
                         continue
                     assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), case
@@ -251,9 +254,11 @@ class TestVirtualGrid:
         assert np.any(np.diff(want) == 0)
         with pytest.raises(ValueError, match=r"^a step of 1e-05 s does not move a clock at 1e\+12 s$"):
             _read_times(1e12, 1e-5, 1e12 + 0.01, False)
-        # reads back to back stop at the first time at or after the end, within the grid
-        got = _read_times(1e12, 1e-5, 1e12 + 0.01, True)
-        assert got.tobytes() == np.array(loop_read_times(1e12, 1e-5, 1e12 + 0.01, True)).tobytes()
+        # reads back to back stop at the first time at or after the end, within
+        # the grid, but its times repeat there too
+        assert np.any(np.diff(loop_read_times(1e12, 1e-5, 1e12 + 0.01, True)) == 0)
+        with pytest.raises(ValueError, match=r"^a step of 1e-05 s repeats read times on a clock at 1e\+12 s$"):
+            _read_times(1e12, 1e-5, 1e12 + 0.01, True)
 
     def test_a_clock_started_at_negative_zero(self):
         # the handshake reads at t0 itself; a fixed-interval grid starts at t0 + 0*step
@@ -410,6 +415,16 @@ class TestClockThatCannotMove:
         # the MTSM handshake's read cost, or the 1 s workload and SMA lead
         with pytest.raises(ValueError, match=rf"^a step of {step} s does not move a clock at 1e\+20 s$"):
             RUNNERS[strategy](ConstantPowerProvider(1.0), TimedWorkload(1.0), clock=VirtualClock(start=1e20))
+
+    @pytest.mark.parametrize("run", [
+        lambda p: run_mtsm(p, TimedWorkload(1.0), clock=VirtualClock(start=1e12, read_cost=1e-4)),
+        lambda p: run_sma(p, TimedWorkload(1.0), SamplerConfig(1e-4), clock=VirtualClock(start=1e12)),
+    ], ids=["mtsm", "sma"])
+    def test_a_step_under_one_ulp_of_the_grid(self, run):
+        # 1e-4 s moves a clock at 1e12 s by whole ulps of 122 us, so two reads
+        # share a time: the run names the step instead of blaming a trace
+        with pytest.raises(ValueError, match=r"^a step of 0.0001 s repeats read times on a clock at 1e\+12 s$"):
+            run(ConstantPowerProvider(1.0))
 
     @pytest.mark.parametrize(
         "run, error, message",

@@ -36,12 +36,14 @@ class TestPowerTraceInvariants:
         assert str(exc.value) == "times and powers must be 1-d arrays of equal length"
 
     def test_window_must_lie_within_span(self):
-        with pytest.raises(MalformedTrace):
+        with pytest.raises(MalformedTrace) as exc:
             PowerTrace([0.0, 1.0], [1.0, 1.0], KernelWindow(0.5, 1.5))
+        assert str(exc.value) == "window [0.5, 1.5] outside sampled span [0.0, 1.0]"
 
     def test_window_on_empty_trace_rejected(self):
-        with pytest.raises(MalformedTrace):
+        with pytest.raises(MalformedTrace) as exc:
             PowerTrace([], [], KernelWindow(0.0, 1.0))
+        assert str(exc.value) == "window annotation on an empty trace"
 
     def test_immutable(self):
         trace = PowerTrace([0.0], [1.0])
@@ -116,6 +118,24 @@ class TestLoadTrace:
             load_trace(f"{comment}\nt_s,power_mw\n0.0,100\n".encode())
         assert exc.value.line == 1
         assert str(exc.value) == f"line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# window: 0,5\nt_s,power_mw\n0,1\n1,1\n", "window [0.0, 5.0] outside sampled span [0.0, 1.0]"),
+            # numpy cannot parse 1_0, so the scan's columns are built
+            ("# window: 0,5\nt_s,power_mw\n0,1_0\n1,1\n", "window [0.0, 5.0] outside sampled span [0.0, 1.0]"),
+            ("# window: -1,0.5\nt_s,power_mw\n0,1\n1,1\n", "window [-1.0, 0.5] outside sampled span [0.0, 1.0]"),
+            ("# window: 0,1\nt_s,power_mw\n", "window annotation on an empty trace"),
+            ("# window: 0,1\nt_s,power_mw\n\n  \n", "window annotation on an empty trace"),
+        ],
+        ids=["past the end", "past the end, scanned", "before the start", "header only", "blank lines only"],
+    )
+    def test_window_outside_the_rows_has_no_line(self, text, message):
+        # the rows are well formed: the trace rejects them, and the scan finds no line to name
+        with pytest.raises(MalformedTrace) as exc:
+            load_trace(text.encode())
+        assert (type(exc.value), str(exc.value), exc.value.line) == (MalformedTrace, message, None)
 
     def test_header_only_is_empty_trace(self):
         trace = load_trace(b"t_s,power_mw\n")
