@@ -1,5 +1,6 @@
 """CLI surface: subcommand behaviour, exit codes, file outputs."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,9 @@ class TestGen:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 55
         assert {"opcode", "operand_type", "category", "ptx_mnemonic"} <= set(records[0])
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "841eb304bf0024f67e856e971eaa03df6b52126f61ddb99e51d926861daf06f4"
+        )
 
     def test_unknown_instruction_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--inst", "warp9.u32")

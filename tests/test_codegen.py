@@ -172,6 +172,18 @@ class TestWholeCatalog:
             assert k.n_instructions == iters * unroll
 
 
+class TestGeneratorGolden:
+    def test_whole_catalog_text(self):
+        """Every kernel text, pinned by hash, so a rewrite of the generator
+        that changes one byte of PTX fails here."""
+        digest = hashlib.sha256()
+        for spec in list_catalog():
+            for variant in KernelVariant:
+                for iters, unroll in ((1_000_000, 5), (1, 1), (7, 2), (2**32 - 1, 9)):
+                    digest.update(generate_kernel(spec, variant, iters, unroll).ptx_text.encode())
+        assert digest.hexdigest() == "0e4d012fc56566b090affe9d482b35d8813bc2333ea041323d2ca5667247c851"
+
+
 class TestValidatorNegatives:
     def test_broken_chain_detected(self):
         kernel = generate_kernel(DIV_U32, KernelVariant.TOTAL, 1000, 3)
