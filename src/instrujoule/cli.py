@@ -94,23 +94,18 @@ def _result_json_text(payload: dict) -> str:
     return text + "\n"
 
 
+# the fields of each `gen --list` record, in order; an enum field is written as its value
+_LISTED_FIELDS = (
+    "opcode", "operand_type", "category", "arity", "signedness", "table_row", "ptx_mnemonic",
+)
+
+
 def _cmd_gen(args) -> int:
     if args.list:
-        records = []
-        for spec in list_catalog():
-            records.append(
-                json.dumps(
-                    {
-                        "opcode": spec.opcode,
-                        "operand_type": spec.operand_type.value,
-                        "category": spec.category.value,
-                        "arity": spec.arity,
-                        "signedness": spec.signedness,
-                        "table_row": spec.table_row,
-                        "ptx_mnemonic": spec.ptx_mnemonic,
-                    }
-                )
-            )
+        records = [
+            json.dumps({field: getattr(spec, field) for field in _LISTED_FIELDS})
+            for spec in list_catalog()
+        ]
         _write_out("\n".join(records) + "\n", args.out)
         return 0
     if not args.inst:
@@ -119,9 +114,7 @@ def _cmd_gen(args) -> int:
         raise _Usage(f"--inst must look like 'div.u32', got {args.inst!r}")
     opcode, _, otype = args.inst.rpartition(".")
     spec = find_instruction(opcode, otype)
-    kernel = generate_kernel(
-        spec, KernelVariant(args.variant), iterations=args.iters, unroll_factor=args.unroll
-    )
+    kernel = generate_kernel(spec, args.variant, iterations=args.iters, unroll_factor=args.unroll)
     _write_out(emit_build_recipe(kernel) if args.recipe else kernel.ptx_text, args.out)
     return 0
 

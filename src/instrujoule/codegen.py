@@ -9,6 +9,10 @@ each pass computes fresh values, and the loop body ends with a
 load-add-store of the chain result followed by a predicate-guarded back
 branch, keeping the whole loop observable from the final output store.
 
+One template serves every instruction. The register bank (32-bit integer,
+or the f16, f32 or f64 float bank) picks only the data registers, the set-up
+before the loop, the chain's seed and a float bank's conversion to an integer.
+
 Every kernel comes in two variants. ``Total`` carries the unrolled
 instruction block; ``Overhead`` is the identical kernel with the block
 omitted and nothing else changed (same entry symbol, same registers, same
@@ -112,8 +116,6 @@ def _chain_registers(head: str, prefix: str, first_free: int, n: int) -> list[tu
     The chain starts and ends at ``head`` so the surrounding code is
     identical whether or not the chain is present.
     """
-    if n == 1:
-        return [(head, head)]
     regs = [head] + [f"{prefix}{first_free + i}" for i in range(n - 1)] + [head]
     return [(regs[i], regs[i + 1]) for i in range(n)]
 
@@ -132,9 +134,10 @@ def generate_kernel(
 
     ``iterations`` sets the loop trip count, an integer from 1 to 2**32 - 1
     (the u32 counter's range), and ``unroll_factor`` the depth of the
-    dependent instruction chain in the loop body. The Overhead
-    variant omits the chain lines and changes nothing else.
+    dependent chain in the loop body. ``variant`` may be given by value; the
+    Overhead variant omits the chain lines and changes nothing else.
     """
+    variant = KernelVariant(variant)
     if not in_catalog(spec):
         raise UnsupportedInstruction(
             f"{spec.opcode}.{spec.operand_type.value} is not in the benchmark catalog"
@@ -149,74 +152,41 @@ def generate_kernel(
     entry = entry_name_for(spec)
     param = f"{entry}_param_0"
     k = unroll_factor
-    total = variant == KernelVariant.TOTAL
+    depth = k if variant == KernelVariant.TOTAL else 0  # the Overhead variant has no chain
 
     float_bank = _FLOAT_BANKS.get(spec.operand_type)
     if float_bank:
         decl_type, prefix, (c1_lit, c2_lit), cvt_t = float_bank
-        decls = [
-            "\t.reg .pred \t%p<2>;",
-            "\t.reg .b32 \t%r<4>;",
-            f"\t.reg {decl_type} \t{prefix}<{3 + k}>;",
-            "\t.reg .b64 \t%rd<3>;",
-        ]
+        head, first_free, c1, c2 = f"{prefix}3", 4, f"{prefix}1", f"{prefix}2"
+        acc, folded, counter = "%r3", "%r2", "%r1"
+        data_decls = ["\t.reg .b32 \t%r<4>;", f"\t.reg {decl_type} \t{prefix}<{3 + k}>;"]
         if spec.operand_type == OperandType.F16:
-            decls[2], decls[1] = decls[1], decls[2]
-        preamble = [
-            f"\tld.param.u64 \t%rd1, [{param}];",
-            "\tcvta.to.global.u64 \t%rd2, %rd1;",
-            f"\tmov{decl_type} \t{prefix}1, {c1_lit};",
-            f"\tmov{decl_type} \t{prefix}2, {c2_lit};",
-            f"\tmov.u32 \t%r1, {iterations};",
-            "\tmov.u32 \t%r3, 0;",
-            "\tst.global.u32 \t[%rd2], %r3;",
-        ]
-        seed = [f"\tcvt.rn.{cvt_t}.s32 \t{prefix}3, %r1;"]
-        chain = [
-            _chain_line(mnemonic, spec.arity, dst, src, f"{prefix}1", f"{prefix}2")
-            for src, dst in _chain_registers(f"{prefix}3", prefix, 4, k)
-        ]
-        tail = [
-            f"\tcvt.rzi.s32.{cvt_t} \t%r2, {prefix}3;",
-            "\tld.global.u32 \t%r3, [%rd2];",
-            "\tadd.s32 \t%r3, %r3, %r2;",
-            "\tst.global.u32 \t[%rd2], %r3;",
-            "\tadd.s32 \t%r1, %r1, -1;",
-            "\tsetp.ne.s32 \t%p1, %r1, 0;",
-            f"\t@%p1 bra \t{_LOOP_LABEL};",
-        ]
-        acc = "%r3"
-    else:
-        acc = f"%r{5 + k}"
-        decls = [
-            "\t.reg .pred \t%p<2>;",
-            f"\t.reg .b32 \t%r<{6 + k}>;",
-            "\t.reg .b64 \t%rd<3>;",
-        ]
-        preamble = [
-            f"\tld.param.u64 \t%rd1, [{param}];",
-            "\tcvta.to.global.u64 \t%rd2, %rd1;",
-            "\tmov.u32 \t%r1, 2654435769;",
-            "\tmov.u32 \t%r2, 11;",
-            "\tmov.u32 \t%r3, 5;",
-            "\tst.global.u32 \t[%rd2], %r1;",
-            f"\tmov.u32 \t%r4, {iterations};",
-        ]
-        seed = ["\tadd.s32 \t%r5, %r1, %r4;"]
-        chain = [
-            _chain_line(mnemonic, spec.arity, dst, src, "%r2", "%r3")
-            for src, dst in _chain_registers("%r5", "%r", 6, k)
-        ]
-        tail = [
-            f"\tld.global.u32 \t{acc}, [%rd2];",
-            f"\tadd.s32 \t{acc}, {acc}, %r5;",
+            data_decls.reverse()
+        setup = [
+            f"\tmov{decl_type} \t{c1}, {c1_lit};",
+            f"\tmov{decl_type} \t{c2}, {c2_lit};",
+            f"\tmov.u32 \t{counter}, {iterations};",
+            f"\tmov.u32 \t{acc}, 0;",
             f"\tst.global.u32 \t[%rd2], {acc};",
-            "\tadd.s32 \t%r4, %r4, -1;",
-            "\tsetp.ne.s32 \t%p1, %r4, 0;",
-            f"\t@%p1 bra \t{_LOOP_LABEL};",
         ]
+        seed = f"\tcvt.rn.{cvt_t}.s32 \t{head}, {counter};"
+        convert = [f"\tcvt.rzi.s32.{cvt_t} \t{folded}, {head};"]
+    else:
+        prefix, head, first_free, c1, c2 = "%r", "%r5", 6, "%r2", "%r3"
+        acc, folded, counter = f"%r{5 + k}", head, "%r4"
+        data_decls = [f"\t.reg .b32 \t%r<{6 + k}>;"]
+        setup = [
+            "\tmov.u32 \t%r1, 2654435769;",
+            f"\tmov.u32 \t{c1}, 11;",
+            f"\tmov.u32 \t{c2}, 5;",
+            "\tst.global.u32 \t[%rd2], %r1;",
+            f"\tmov.u32 \t{counter}, {iterations};",
+        ]
+        seed = f"\tadd.s32 \t{head}, %r1, {counter};"
+        convert = []
 
-    body = seed + (chain if total else []) + tail
+    pairs = _chain_registers(head, prefix, first_free, depth)
+    chain = [_chain_line(mnemonic, spec.arity, dst, src, c1, c2) for src, dst in pairs]
     lines = [
         f"// instrujoule microbenchmark: {mnemonic}",
         f".version {PTX_VERSION}",
@@ -227,12 +197,24 @@ def generate_kernel(
         f"\t.param .u64 {param}",
         ")",
         "{",
-        *decls,
+        "\t.reg .pred \t%p<2>;",
+        *data_decls,
+        "\t.reg .b64 \t%rd<3>;",
         "",
-        *preamble,
+        f"\tld.param.u64 \t%rd1, [{param}];",
+        "\tcvta.to.global.u64 \t%rd2, %rd1;",
+        *setup,
         "",
         f"{_LOOP_LABEL}:",
-        *body,
+        seed,
+        *chain,
+        *convert,
+        f"\tld.global.u32 \t{acc}, [%rd2];",
+        f"\tadd.s32 \t{acc}, {acc}, {folded};",
+        f"\tst.global.u32 \t[%rd2], {acc};",
+        f"\tadd.s32 \t{counter}, {counter}, -1;",
+        f"\tsetp.ne.s32 \t%p1, {counter}, 0;",
+        f"\t@%p1 bra \t{_LOOP_LABEL};",
         "",
         f"\tst.global.u32 \t[%rd2], {acc};",
         "\tret;",
@@ -246,7 +228,7 @@ def generate_kernel(
         iterations=iterations,
         unroll_factor=unroll_factor,
         entry_name=entry,
-        n_instructions=iterations * unroll_factor if total else 0,
+        n_instructions=iterations * depth,
     )
 
 

@@ -457,10 +457,9 @@ def run_papi_style(
     t_read = clock.now
     power = provider.next_sample(t_read)
     elapsed = t_end - t_start
-    energy = power * elapsed
     return EnergyResult(
         strategy=Strategy.PAPI_STYLE,
-        energy=energy,
+        energy=energy_from_readings([power], elapsed),
         elapsed=elapsed,
         n_samples=1,
         trace=PowerTrace([t_read], [power]),

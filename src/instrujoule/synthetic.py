@@ -27,6 +27,9 @@ from .trace import KernelWindow, PowerTrace
 # concrete types: isinstance checks on the numbers ABCs made the model check 3.7 times as slow
 _INTEGER = (int, np.integer)
 _NUMBER = (float, np.floating) + _INTEGER
+# the fields that must be above zero, checked in this order
+_POSITIVE = ("pre_rise_lead", "kernel_duration", "decay_step_duration", "idle_lead", "idle_tail",
+             "sample_rate")
 # what json.loads gives for each JSON type, named as JSON names it
 _JSON_TYPES = {
     list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
@@ -68,22 +71,12 @@ class SyntheticModel:
                 raise InvalidModel(f"{name} must be a number, got {value!r}")
         if not isinstance(self.rng_seed, _INTEGER) or self.rng_seed < 0:
             raise InvalidModel(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-        durations = {
-            "pre_rise_lead": self.pre_rise_lead,
-            "kernel_duration": self.kernel_duration,
-            "decay_step_duration": self.decay_step_duration,
-            "idle_lead": self.idle_lead,
-            "idle_tail": self.idle_tail,
-        }
-        for name, value in durations.items():
-            if not value > 0:
+        for name in _POSITIVE:
+            if not (value := getattr(self, name)) > 0:
                 raise InvalidModel(f"{name} must be > 0, got {value}")
-        if not self.sample_rate > 0:
-            raise InvalidModel(f"sample_rate must be > 0, got {self.sample_rate}")
-        if not self.noise_stddev >= 0:
-            raise InvalidModel(f"noise_stddev must be >= 0, got {self.noise_stddev}")
-        if not self.decay_steps >= 0:
-            raise InvalidModel(f"decay_steps must be >= 0, got {self.decay_steps}")
+        for name in ("noise_stddev", "decay_steps"):
+            if not (value := getattr(self, name)) >= 0:
+                raise InvalidModel(f"{name} must be >= 0, got {value}")
         if not (self.p_idle >= 0 and self.p_kernel >= 0 and self.ramp_mw >= 0):
             raise InvalidModel("power levels must be >= 0")
         for name in self.__dataclass_fields__:

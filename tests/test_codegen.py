@@ -119,6 +119,18 @@ class TestGeneratePreconditions:
         with pytest.raises(UnsupportedInstruction):
             generate_kernel(rogue, KernelVariant.TOTAL)
 
+    def test_misspelled_variant_rejected(self):
+        # a misspelled name must not fall through to an Overhead kernel, which validates
+        with pytest.raises(ValueError, match="^'totl' is not a valid KernelVariant$"):
+            generate_kernel(DIV_U32, "totl")
+
+    @pytest.mark.parametrize("variant", list(KernelVariant))
+    def test_variant_given_by_value(self, variant):
+        kernel = generate_kernel(DIV_U32, variant.value)
+        assert kernel.variant is variant
+        assert kernel == generate_kernel(DIV_U32, variant)
+        assert f"Save the kernel text as bench_div_u32.{variant.value}.ptx." in emit_build_recipe(kernel)
+
     def test_bad_iterations(self):
         with pytest.raises(ValueError, match="^iterations must be an integer from 1 to 4294967295, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=0)

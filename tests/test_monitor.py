@@ -705,18 +705,19 @@ class TestThreadedMode:
 
 
 class NanAtRead(PowerProvider):
-    """A faulty sensor: returns NaN at read ``k`` (counting from 1), 100 mW otherwise."""
+    """A faulty sensor: returns ``bad`` (NaN unless given) at read ``k``
+    (counting from 1), 100 mW otherwise."""
 
-    def __init__(self, k):
-        self.k, self.reads = k, 0
+    def __init__(self, k, bad=math.nan):
+        self.k, self.bad, self.reads = k, bad, 0
 
     def next_sample(self, t):
         self.reads += 1
-        return math.nan if self.reads == self.k else 100.0
+        return self.bad if self.reads == self.k else 100.0
 
 
 class TestNanReading:
-    """A NaN reading fails the run with MalformedTrace; no energy is nan."""
+    """A NaN or infinite reading fails the run with MalformedTrace; no energy is nan."""
 
     @pytest.mark.parametrize("k", [1, 2, 15])
     def test_virtual_mtsm(self, k):
@@ -739,8 +740,10 @@ class TestNanReading:
             workload = TimedWorkload(0.01)
         else:
             workload = CallableWorkload(lambda: time.sleep(0.01))
-        with pytest.raises(MalformedTrace):
-            run_papi_style(NanAtRead(1), workload, clock=clock())
+        # the one reading fails at the energy sum, before a trace is built
+        for bad in (math.nan, math.inf):
+            with pytest.raises(MalformedTrace, match="^non-finite power reading$"):
+                run_papi_style(NanAtRead(1, bad), workload, clock=clock())
         assert sampler_threads() == []
 
 
