@@ -1,6 +1,7 @@
 """Provider semantics: step-hold replay, constants, simulated devices, and
 whole-grid reads that match reading time by time."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -377,3 +378,61 @@ class TestTwoFormsOfTheProfile:
             assert np.array(reads).tobytes() == grid.tobytes(), model
             clamped += model.noise_stddev > 0 and 0.0 in reads
         assert clamped >= 5
+
+
+def _sha(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestGridGolden:
+    """SHA-256 of the readings a simulated device returns for one long
+    ascending grid, as a virtual run at a 1 µs read cost asks for it: a
+    ramped model with six decay steps whose noise clamps idle readings at
+    zero, launched mid-grid, and the same grid on a device never launched."""
+
+    MODEL = SyntheticModel(
+        p_idle=1_500.0, p_kernel=40_000.0, ramp_mw=12_000.0, pre_rise_lead=0.003,
+        kernel_duration=0.08, decay_steps=6, decay_step_duration=0.007,
+        noise_stddev=2_500.0, rng_seed=21,
+    )
+    TIMES = 0.25 + np.arange(200_000) * 1e-6  # 0.25 s to 0.45 s; the decay ends at 0.425 s
+    LAUNCH = 0.3
+
+    def test_launched_mid_grid(self):
+        device = SyntheticDeviceProvider(self.MODEL)
+        device.launch(self.LAUNCH)
+        got = device.sample_grid(self.TIMES)
+        assert (got == 0.0).sum() > 1_000  # idle readings clamped
+        assert _sha(got) == "72a4acf2ccdaf707f8b36884236ccc26c9f315fdd6f48c33e5ce4ebc8bff610d"
+
+    def test_unlaunched(self):
+        got = SyntheticDeviceProvider(self.MODEL).sample_grid(self.TIMES)
+        assert (got == 0.0).sum() > 10_000
+        assert _sha(got) == "c06208934fad4228e0c7c704d5f19e58d8e9ed1563dae3cc7a003a70cf320b1c"
+
+
+class TestNonFiniteTimes:
+    """The profile's value at NaN and infinite times, shuffled among finite
+    ones or at the ends of an ascending grid, pinned by hash."""
+
+    def outputs(self):
+        rng = np.random.default_rng(21)
+        odd = np.array([np.nan, np.inf, -np.inf, np.nan, np.inf])
+        for _ in range(100):
+            model = random_model(rng)
+            t_launch = float(rng.uniform(0.0, 1e3))
+            times = profile_times(model, t_launch, rng)
+            mixed = np.concatenate([times, odd])
+            rng.shuffle(mixed)
+            ascending = np.concatenate([[-np.inf, -np.inf], np.sort(times), [np.inf, np.inf]])
+            for launch in (t_launch, math.inf):
+                # an unlaunched ramp reads inf - inf at t = inf
+                with np.errstate(invalid="ignore"):
+                    for grid in (mixed, ascending, odd[:1], odd[1:2], odd[2:3]):
+                        yield noise_free_power(model, grid, launch)
+
+    def test_pinned(self):
+        digest = hashlib.sha256()
+        for out in self.outputs():
+            digest.update(out.tobytes())
+        assert digest.hexdigest() == "1ec802440188a993c4946e27c9f4d49ad53a95e42cc025033369c7159c0c873a"

@@ -4,12 +4,15 @@ Each case runs a strategy on a seeded synthetic model, noise-free or noisy
 with a ramp, and hashes what it produces: the ``measure`` JSON that
 ``cli_main`` writes for ``mtsm`` and ``papi`` (from a synthetic model and
 from a replayed trace), the trace CSV that ``sma`` writes, and the ``repr``
-of the energies ``measure_instruction`` extracts. Any change to a reading,
+of the energies ``measure_instruction`` extracts. One more extraction runs
+a 20 s kernel at a 0.1 ms read cost, about 200k readings a run, and hashes
+both traces' CSVs too. Any change to a reading,
 a timestamp, an energy or the output format changes a hash.
 """
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -18,6 +21,7 @@ from instrujoule import (
     Strategy,
     SyntheticDeviceProvider,
     SyntheticModel,
+    VirtualClock,
     measure_instruction,
     save_trace,
     synthesize,
@@ -111,3 +115,36 @@ def test_cli_result_golden(tmp_path, model, command):
 def test_extraction_golden(model, strategy):
     got = _sha(_extraction(MODELS[model], Strategy(strategy)))
     assert got == EXTRACTION_HASHES[model, strategy]
+
+
+LONG = SyntheticModel(
+    p_idle=22_000.0, p_kernel=70_000.0, ramp_mw=18_000.0, pre_rise_lead=0.002,
+    kernel_duration=20.0, decay_steps=4, noise_stddev=1_200.0, rng_seed=31,
+)
+
+# the repr of the extracted energies, then the total and overhead trace CSVs
+LONG_HASHES = (
+    "dcb1550f3d4015efe2cf4c70e897898e42581af060447d49195537610a64215c",
+    "8ff4f981a3b66bad60161435c112746f5aeb08f478600371345902b637eccd01",
+    "8476eef0dd64c2821656c56754c8ccd4c2ed6d01eba0c93cdbb3f00112271012",
+)
+
+
+def test_long_kernel_extraction_golden(tmp_path):
+    """A paired MTSM extraction on a 20 s noisy ramped kernel read every
+    0.1 ms, about 200k readings a run, as the long-kernel benchmark makes."""
+    total = SyntheticModel(**{**LONG.to_dict(), "p_kernel": LONG.p_kernel + 400.0,
+                              "rng_seed": LONG.rng_seed + 1})
+    result = measure_instruction(
+        (lambda: SyntheticDeviceProvider(total), lambda: SyntheticDeviceProvider(LONG)),
+        KernelLaunchWorkload(), KernelLaunchWorkload(), 1_000_000, Strategy.MTSM,
+        clock_factory=partial(VirtualClock, read_cost=1e-4),
+    )
+    energies = (result.energy_per_instruction, result.e_total, result.e_overhead,
+                result.total_result.n_samples, result.overhead_result.n_samples)
+    assert result.total_result.n_samples > 200_000
+    got = [_sha(repr(energies).encode())]
+    for run in (result.total_result, result.overhead_result):
+        save_trace(run.trace, tmp_path / "trace.csv")
+        got.append(_sha((tmp_path / "trace.csv").read_bytes()))
+    assert tuple(got) == LONG_HASHES
