@@ -37,7 +37,7 @@ def energy_from_readings(powers, elapsed: float) -> float:
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0:
         raise EmptyWindow("no power readings")
-    total = float(np.sum(powers))
+    total = float(np.add.reduce(powers, axis=None))  # np.sum's reduction, without its dispatch
     if not math.isfinite(total):  # a NaN or inf reading propagates into the sum
         raise MalformedTrace("non-finite power reading")
     return elapsed / powers.size * total

@@ -267,7 +267,9 @@ def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.
     # a step on any grid that fits in memory; so where a step moves a clock at
     # the bound, the first time past it has k <= estimate + 1, and where it
     # cannot, the run fails instead. A grid too large to hold fails in arange.
-    grid = t0 + np.arange(max(np.ceil((bound - t0) / step), 0) + 2) * step
+    grid = np.arange(max(np.ceil((bound - t0) / step), 0) + 2, dtype=np.float64)
+    grid *= step
+    grid += t0  # in place: t0 + k*step, bit for bit
     k = np.searchsorted(grid, bound, "left" if back_to_back else "right")
     if k == grid.size:
         raise ValueError(f"a step of {step:g} s does not move a clock at {bound:g} s")

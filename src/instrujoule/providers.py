@@ -17,8 +17,10 @@ results. Three implementations ship with the toolkit:
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
                       profile, then plateau / ramp / stepped decay. A grid
-                      reads the profile's array form and draws its noise in
-                      one call; a single read, the scalar form and one draw.
+                      reads the profile's array form, which writes each
+                      piece of an ascending grid as one slice, and draws
+                      its noise in one call; a single read, the scalar form
+                      and one draw.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -122,5 +124,8 @@ class SyntheticDeviceProvider(PowerProvider):
     def sample_grid(self, times: np.ndarray) -> np.ndarray:
         powers = noise_free_power(self.model, times, self._t_launch)
         if (sd := self.model.noise_stddev) > 0:
-            powers = np.maximum(powers + self._rng.normal(0.0, sd, powers.size), 0.0)
+            # the noise array becomes the readings: no other temporary of the grid's length
+            noise = self._rng.normal(0.0, sd, powers.size)
+            noise += powers
+            powers = np.maximum(noise, 0.0, out=noise)
         return powers

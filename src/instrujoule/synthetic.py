@@ -11,6 +11,13 @@ Because the shape is closed-form, the exact noise-free energy over the
 kernel execution window is known, which makes these models the ground-truth
 oracle for the measurement strategies. A model checks its fields when it is
 built, so an invalid one never reaches ``synthesize`` or a simulated device.
+
+The profile has two forms, pinned bit-equal by tests: a scalar one for a
+single read, and an array one for a grid. The array form splits an ascending
+grid into the five pieces by searching it for the piece edges and writes
+each piece as a slice: idle and plateau are constant fills, the ramp is
+computed in place and only the decay steps use the step formula. Any other
+array is sorted first and its powers put back in its order.
 """
 
 from __future__ import annotations
@@ -153,26 +160,49 @@ def noise_free_power(model: SyntheticModel, t, t_launch: float):
     Vectorized over numpy arrays; a scalar returns a float. Power jumps to the
     kernel plateau at the launch instant, holds (plus optional ramp) through
     the end of execution, then descends in ``decay_steps`` equal-height
-    plateaus back to idle.
+    plateaus back to idle. An ascending array, as every grid the toolkit
+    builds is, is evaluated piece by piece; any other is sorted first and its
+    powers put back in its order.
     """
     t = np.asarray(t, dtype=np.float64)
+    flat = t.ravel()
+    if flat.size > 1 and not (flat[1:] >= flat[:-1]).all():  # NaN fails the test, and sorts last
+        order = np.argsort(flat, kind="stable")
+        p = np.empty_like(flat)
+        p[order] = _ascending_power(model, flat[order], t_launch)
+    else:
+        p = _ascending_power(model, flat, t_launch)
+    return p.reshape(t.shape) if t.ndim else float(p[0])
+
+
+def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float) -> np.ndarray:
+    # the pieces: [0, rise) idle, [rise, start) the lead at plateau,
+    # [start, end] the execution window, (end, decay] the steps, then idle
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
-    height = model.p_kernel + model.ramp_mw
     decay_end = exec_end + model.decay_steps * model.decay_step_duration
-
-    p = np.full(t.shape, float(model.p_idle))
-    plateau = (t >= t_launch) & (t <= exec_end)
-    p = np.where(plateau, model.p_idle + model.p_kernel, p)
+    if math.isnan(t_launch):  # every comparison with the edges is false: idle throughout
+        return np.full(t.shape, float(model.p_idle))
+    rise, start = np.searchsorted(t, (t_launch, exec_start), "left")
+    end, decay = np.searchsorted(t, (exec_end, decay_end), "right")
+    p = np.empty_like(t)
+    p[:rise] = float(model.p_idle)
+    p[rise:start] = model.p_idle + model.p_kernel
     if model.ramp_mw > 0:
-        in_exec = (t >= exec_start) & (t <= exec_end)
-        frac = np.clip((t - exec_start) / model.kernel_duration, 0.0, 1.0)
-        p = np.where(in_exec, model.p_idle + model.p_kernel + model.ramp_mw * frac, p)
-    if model.decay_steps > 0:
-        in_decay = (t > exec_end) & (t <= decay_end)
-        step = np.clip(np.ceil((t - exec_end) / model.decay_step_duration), 1, model.decay_steps)
-        p = np.where(in_decay, model.p_idle + height * (1.0 - step / (model.decay_steps + 1)), p)
-    return p if p.ndim else float(p)
+        # the plateau plus ramp_mw * clip((t - exec_start) / kernel_duration, 0, 1), in place
+        frac = np.subtract(t[start:end], exec_start, out=p[start:end])
+        frac /= model.kernel_duration
+        np.clip(frac, 0.0, 1.0, out=frac)
+        frac *= model.ramp_mw
+        frac += model.p_idle + model.p_kernel
+    else:
+        p[start:end] = model.p_idle + model.p_kernel
+    if decay > end:
+        height = model.p_kernel + model.ramp_mw
+        step = np.clip(np.ceil((t[end:decay] - exec_end) / model.decay_step_duration), 1, model.decay_steps)
+        p[end:decay] = model.p_idle + height * (1.0 - step / (model.decay_steps + 1))
+    p[decay:] = float(model.p_idle)
+    return p
 
 
 def synthesize(model: SyntheticModel) -> tuple[PowerTrace, SyntheticTruth]:

@@ -185,6 +185,14 @@ class TestEnergyFromReadings:
         with pytest.raises(MalformedTrace, match="non-finite power reading"):
             energy_from_readings(bad, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 4097])
+    def test_sum_is_np_sum_bit_for_bit(self, n):
+        # sizes around numpy's pairwise-summation blocks of 8 and 128
+        powers = np.random.default_rng(n).uniform(0.0, 1e5, n)
+        want = 2.5 / n * float(np.sum(powers))
+        assert energy_from_readings(powers, 2.5).hex() == want.hex()
+        assert energy_from_readings(powers.tolist(), 2.5).hex() == want.hex()
+
     def test_fsum_kicks_in(self):
         n = 1_000_001
         powers = np.full(n, 0.1)

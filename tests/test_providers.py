@@ -3,6 +3,7 @@ whole-grid reads that match reading time by time."""
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -379,6 +380,83 @@ class TestTwoFormsOfTheProfile:
             clamped += model.noise_stddev > 0 and 0.0 in reads
         assert clamped >= 5
 
+
+
+def assert_profile_matches_scalar(model, times, launch):
+    got = noise_free_power(model, times, launch)
+    want = [_scalar_power(model, t, launch) for t in np.asarray(times).tolist()]
+    assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), (model, launch)
+
+
+class TestAscendingGrids:
+    """An ascending grid, which the profile evaluates piece by piece without
+    reordering it, reads what the scalar form reads time by time."""
+
+    MODEL = SyntheticModel(
+        p_idle=3_000.0, p_kernel=50_000.0, ramp_mw=8_000.0, pre_rise_lead=0.004,
+        kernel_duration=0.3, decay_steps=5, decay_step_duration=0.02,
+    )
+    LAUNCH = 1.5
+
+    def test_random_models_sorted(self):
+        for model, t_launch, times in TestTwoFormsOfTheProfile().cases():
+            times = np.sort(times)  # the edges and their neighbours among them
+            assert (times[1:] > times[:-1]).any() and (times[1:] >= times[:-1]).all()
+            for launch in (t_launch, math.inf):
+                assert_profile_matches_scalar(model, times, launch)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"decay_steps": 0}, {"ramp_mw": 0.0}, {"decay_steps": 0, "ramp_mw": 0.0}, {"decay_steps": 1}],
+    )
+    def test_special_models(self, change):
+        model = replace(self.MODEL, **change)
+        times = np.sort(profile_times(model, self.LAUNCH, np.random.default_rng(3)))
+        for launch in (self.LAUNCH, math.inf):
+            assert_profile_matches_scalar(model, times, launch)
+
+    def test_grid_wholly_before_launch(self):
+        times = np.linspace(0.0, np.nextafter(self.LAUNCH, 0.0), 1_000)
+        assert (noise_free_power(self.MODEL, times, self.LAUNCH) == self.MODEL.p_idle).all()
+        assert_profile_matches_scalar(self.MODEL, times, self.LAUNCH)
+
+    def test_grid_wholly_after_the_decay(self):
+        m = self.MODEL
+        decay_end = self.LAUNCH + m.pre_rise_lead + m.kernel_duration + m.decay_steps * m.decay_step_duration
+        times = np.linspace(np.nextafter(decay_end, np.inf), decay_end + 5.0, 1_000)
+        assert (noise_free_power(m, times, self.LAUNCH) == m.p_idle).all()
+        assert_profile_matches_scalar(m, times, self.LAUNCH)
+
+    @pytest.mark.parametrize("times", [[], [1.6], [1.0], [1.9], [1.6, 1.6, 1.6], [1.0, 1.5, 1.5, 1.6, 1.6, 1.82]])
+    def test_short_grids_and_repeated_times(self, times):
+        assert noise_free_power(self.MODEL, np.array(times), self.LAUNCH).shape == (len(times),)
+        assert_profile_matches_scalar(self.MODEL, np.array(times), self.LAUNCH)
+
+    def test_scalar_and_shaped_arrays(self):
+        times = np.linspace(1.4, 2.0, 12)
+        flat = noise_free_power(self.MODEL, times, self.LAUNCH)
+        assert noise_free_power(self.MODEL, times.reshape(3, 4), self.LAUNCH).tobytes() == flat.tobytes()
+        assert noise_free_power(self.MODEL, times.reshape(3, 4).T, self.LAUNCH).shape == (4, 3)
+        for t, p in zip(times.tolist(), flat.tolist()):
+            got = noise_free_power(self.MODEL, t, self.LAUNCH)
+            assert type(got) is float and got == p
+
+    def test_nan_launch_reads_idle(self):
+        times = np.array([0.0, 1.0, math.inf, math.nan, -math.inf])
+        assert noise_free_power(self.MODEL, times, math.nan).tolist() == [self.MODEL.p_idle] * 5
+        assert noise_free_power(self.MODEL, times[3:4], math.nan) == self.MODEL.p_idle
+        assert_profile_matches_scalar(self.MODEL, times, math.nan)
+
+
+class TestProviderContract:
+    def test_next_sample_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            PowerProvider().next_sample(0.0)
+
+    def test_default_grid_raises_what_next_sample_raises(self):
+        with pytest.raises(NotImplementedError):
+            PowerProvider().sample_grid(np.array([0.0, 1.0]))
+        assert PowerProvider().sample_grid(np.array([])).size == 0  # nothing read
 
 def _sha(array: np.ndarray) -> str:
     return hashlib.sha256(array.tobytes()).hexdigest()
