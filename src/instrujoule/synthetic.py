@@ -166,7 +166,7 @@ def noise_free_power(model: SyntheticModel, t, t_launch: float):
     """
     t = np.asarray(t, dtype=np.float64)
     flat = t.ravel()
-    if flat.size > 1 and not (flat[1:] >= flat[:-1]).all():  # NaN fails the test, and sorts last
+    if not (flat[1:] >= flat[:-1]).all():  # NaN fails the test, and sorts last
         order = np.argsort(flat, kind="stable")
         p = np.empty_like(flat)
         p[order] = _ascending_power(model, flat[order], t_launch)
