@@ -401,7 +401,7 @@ class TestAscendingGrids:
     def test_random_models_sorted(self):
         for model, t_launch, times in TestTwoFormsOfTheProfile().cases():
             times = np.sort(times)  # the edges and their neighbours among them
-            assert (times[1:] > times[:-1]).any() and (times[1:] >= times[:-1]).all()
+            assert (times[1:] >= times[:-1]).all()
             for launch in (t_launch, math.inf):
                 assert_profile_matches_scalar(model, times, launch)
 
