@@ -79,6 +79,13 @@ class TestTopLevel:
     def test_no_args_exits_2(self, capsys):
         assert run_cli(capsys)[0] == 2
 
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_main_exits_with_cli_mains_code(self, code, monkeypatch):
+        monkeypatch.setattr(cli, "cli_main", lambda: code)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+
 
 class TestMeasure:
     def test_missing_replay_file_exits_1(self, capsys):

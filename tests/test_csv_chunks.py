@@ -203,6 +203,23 @@ def test_a_failed_path_load_leaves_no_handle_open(name, monkeypatch, tmp_path):
     assert len(handles) == 1 and handles[0].closed
 
 
+@pytest.mark.parametrize("source", ["path", "bytes"])
+def test_an_error_that_is_not_a_decode_error_closes_the_stream_and_propagates(source, monkeypatch, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(TRACES["many chunks"])
+    error, streams = OSError("device went away"), []
+
+    def failing_survey(f):
+        streams.append(f)
+        raise error
+
+    monkeypatch.setattr(_csv, "_survey", failing_survey)
+    with pytest.raises(OSError) as exc:
+        _csv.Reader(path if source == "path" else path.read_bytes(), MalformedTrace)
+    assert exc.value is error and exc.value.__cause__ is None
+    assert len(streams) == 1 and streams[0].closed
+
+
 @pytest.mark.parametrize("name", [
     "many chunks", "a chunk of only blank lines", "window comment longer than a block",
 ])
