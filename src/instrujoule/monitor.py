@@ -29,11 +29,14 @@ VirtualClock time advances only at provider reads (a configurable per-read
 cost, default 0.5 ms, i.e. a ~2 kHz effective sampling rate) and at
 workload boundaries; once the block has run, the sampler builds its whole
 time grid in closed form and reads it with one
-``provider.sample_grid(times)`` call, which makes every run
+``provider.sample_grid(times, out=None)`` call, which makes every run
 bit-reproducible. The MTSM handshake stays one ``next_sample``
-read at flag set, before the workload launches. The flag-clear instant is
-defined as the sampler's first read at or after workload completion, so the
-flag interval coincides exactly with the recorded sample span.
+read at flag set, before the workload launches; it is the first slot of the
+run's readings, allocated once, and the grid is read into the rest with
+``out=``, so a provider that overrides ``sample_grid`` must accept ``out``.
+The flag-clear instant is defined as the sampler's first read at or after
+workload completion, so the flag interval coincides exactly with the
+recorded sample span.
 
 Strategy runners are not reentrant per provider instance; create one
 provider (and one clock) per measurement.
@@ -224,7 +227,8 @@ class _VirtualSampler:
     Fixed interval: ``t0 + k*interval`` up to the end of the block. Back to
     back: a handshake read at flag set, before the workload launches, then
     ``t0 + k*read_cost`` up to the first point at or after completion, where
-    the flag clear is observed.
+    the flag clear is observed. The handshake is the first of the run's
+    readings, and the grid is read into the rest of the same array.
     """
 
     def __init__(self, provider, clock: VirtualClock, interval):
@@ -249,8 +253,9 @@ class _VirtualSampler:
         step = self.clock.read_cost if back_to_back else self.interval
         self.times = _read_times(self.flag_set, step, self.clock.now, back_to_back)
         if back_to_back:
-            grid = self.provider.sample_grid(self.times[1:])
-            self.powers = np.concatenate(([self._handshake], grid))
+            self.powers = np.empty(self.times.size)
+            self.powers[0] = self._handshake
+            self.provider.sample_grid(self.times[1:], out=self.powers[1:])
             self.clock.now = float(self.times[-1])  # the clear is observed at the last read
         else:
             self.powers = self.provider.sample_grid(self.times)

@@ -14,10 +14,12 @@ built, so an invalid one never reaches ``synthesize`` or a simulated device.
 
 The profile has two forms, pinned bit-equal by tests: a scalar one for a
 single read, and an array one for a grid. The array form splits an ascending
-grid into the five pieces by searching it for the piece edges and writes
-each piece as a slice: idle and plateau are constant fills, the ramp is
-computed in place and only the decay steps use the step formula. Any other
-array is sorted first and its powers put back in its order.
+grid into the five pieces by searching it for the piece edges and adds each
+piece onto its slice of an array it is given, so a simulated device adds the
+profile onto its noise where it lies: idle and plateau are constants, and
+the ramp and decay steps are computed in blocks of at most 8192 points, the
+ramp in place in one small scratch array. Any other array is sorted first
+and its powers put back in its order.
 """
 
 from __future__ import annotations
@@ -165,44 +167,58 @@ def noise_free_power(model: SyntheticModel, t, t_launch: float):
     powers put back in its order.
     """
     t = np.asarray(t, dtype=np.float64)
-    flat = t.ravel()
-    if not (flat[1:] >= flat[:-1]).all():  # NaN fails the test, and sorts last
-        order = np.argsort(flat, kind="stable")
-        p = np.empty_like(flat)
-        p[order] = _ascending_power(model, flat[order], t_launch)
-    else:
-        p = _ascending_power(model, flat, t_launch)
+    # -0.0 is the exact additive identity: each power is written bit for bit
+    p = _add_power(model, t.ravel(), t_launch, np.full(t.size, -0.0))
     return p.reshape(t.shape) if t.ndim else float(p[0])
 
 
-def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float) -> np.ndarray:
+def _add_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out: np.ndarray) -> np.ndarray:
+    """Add the profile at the 1-d times ``t`` onto ``out``, in place, and return ``out``."""
+    if not (t[1:] >= t[:-1]).all():  # NaN fails the test, and sorts last
+        order = np.argsort(t, kind="stable")
+        out[order] += _ascending_power(model, t[order], t_launch, np.full(t.size, -0.0))
+        return out
+    return _ascending_power(model, t, t_launch, out)
+
+
+_BLOCK = 8192  # points per block of a piece computed through temporaries: 64 KiB each
+
+
+def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out: np.ndarray) -> np.ndarray:
     # the pieces: [0, rise) idle, [rise, start) the lead at plateau,
-    # [start, end] the execution window, (end, decay] the steps, then idle
+    # [start, end] the execution window, (end, decay] the steps, then idle;
+    # each piece's power is computed whole, then added onto its slice of out
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
     decay_end = exec_end + model.decay_steps * model.decay_step_duration
     if math.isnan(t_launch):  # every comparison with the edges is false: idle throughout
-        return np.full(t.shape, float(model.p_idle))
+        out += float(model.p_idle)
+        return out
     rise, start = np.searchsorted(t, (t_launch, exec_start), "left")
     end, decay = np.searchsorted(t, (exec_end, decay_end), "right")
-    p = np.empty_like(t)
-    p[:rise] = float(model.p_idle)
-    p[rise:start] = model.p_idle + model.p_kernel
-    if model.ramp_mw > 0:
-        # the plateau plus ramp_mw * clip((t - exec_start) / kernel_duration, 0, 1), in place
-        frac = np.subtract(t[start:end], exec_start, out=p[start:end])
+    idle, plateau = float(model.p_idle), float(model.p_idle + model.p_kernel)
+    ramp_start = start if model.ramp_mw > 0 else end  # a flat plateau is one piece with the lead
+    for a, b, p in ((0, rise, idle), (rise, ramp_start, plateau), (decay, t.size, idle)):
+        if a < b:  # an empty slice's add costs as much as a short one's
+            out[a:b] += p
+    # the ramp and the decay steps are computed a block at a time, so no temporary is as long as
+    # the grid; the ramp, which can span the whole grid, in place in one scratch block
+    scratch = np.empty(min(_BLOCK, end - ramp_start))
+    for a in range(ramp_start, end, _BLOCK):
+        # the plateau plus ramp_mw * clip((t - exec_start) / kernel_duration, 0, 1)
+        b = min(a + _BLOCK, end)
+        frac = np.subtract(t[a:b], exec_start, out=scratch[: b - a])
         frac /= model.kernel_duration
         np.clip(frac, 0.0, 1.0, out=frac)
         frac *= model.ramp_mw
-        frac += model.p_idle + model.p_kernel
-    else:
-        p[start:end] = model.p_idle + model.p_kernel
-    if decay > end:
-        height = model.p_kernel + model.ramp_mw
-        step = np.clip(np.ceil((t[end:decay] - exec_end) / model.decay_step_duration), 1, model.decay_steps)
-        p[end:decay] = model.p_idle + height * (1.0 - step / (model.decay_steps + 1))
-    p[decay:] = float(model.p_idle)
-    return p
+        frac += plateau
+        out[a:b] += frac
+    height = model.p_kernel + model.ramp_mw
+    for a in range(end, decay, _BLOCK):
+        b = min(a + _BLOCK, decay)
+        k = np.clip(np.ceil((t[a:b] - exec_end) / model.decay_step_duration), 1, model.decay_steps)
+        out[a:b] += idle + height * (1.0 - k / (model.decay_steps + 1))
+    return out
 
 
 def synthesize(model: SyntheticModel) -> tuple[PowerTrace, SyntheticTruth]:

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,9 +202,9 @@ class RecordingProvider(ConstantPowerProvider):
         self.calls.append(("next_sample", t))
         return super().next_sample(t)
 
-    def sample_grid(self, times):
+    def sample_grid(self, times, out=None):
         self.calls.append(("sample_grid", len(times)))
-        return super().sample_grid(times)
+        return super().sample_grid(times, out)
 
 
 class TestVirtualGrid:
@@ -278,6 +279,26 @@ class TestVirtualGrid:
         provider = RecordingProvider()
         trace = run_sma(provider, TimedWorkload(0.05), lead=0.01, tail=0.01)
         assert provider.calls == [("sample_grid", len(trace))]
+
+    def test_a_long_run_holds_two_grid_length_arrays(self):
+        # a noisy, ramped 200k-point run: its times and its readings, with the
+        # handshake in the readings' first slot and the grid read into the rest
+        model = SyntheticModel(p_idle=20e3, p_kernel=60e3, ramp_mw=10e3, kernel_duration=19.998,
+                               noise_stddev=1_000.0, rng_seed=3)
+
+        def run():
+            return run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(), VirtualClock(read_cost=1e-4))
+
+        run()
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = 8 * result.n_samples
+        assert result.n_samples > 200_000
+        assert peak <= 2.2 * grid_bytes, f"{peak / grid_bytes:.2f} grid-length arrays"
 
 
 class TestClockAfterVirtualRun:
