@@ -354,10 +354,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InstrujouleError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:
+    except (InstrujouleError, OSError, ValueError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

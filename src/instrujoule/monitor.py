@@ -28,15 +28,11 @@ about that much of its return instead of up to 5 ms late. Under
 VirtualClock time advances only at provider reads (a configurable per-read
 cost, default 0.5 ms, i.e. a ~2 kHz effective sampling rate) and at
 workload boundaries; once the block has run, the sampler builds its whole
-time grid in closed form and reads it with one
-``provider.sample_grid(times, out=None)`` call, which makes every run
-bit-reproducible. The MTSM handshake stays one ``next_sample``
-read at flag set, before the workload launches; it is the first slot of the
-run's readings, allocated once, and the grid is read into the rest with
-``out=``, so a provider that overrides ``sample_grid`` must accept ``out``.
-The flag-clear instant is defined as the sampler's first read at or after
-workload completion, so the flag interval coincides exactly with the
-recorded sample span.
+time grid in closed form, the MTSM flag-set read at ``t0`` included, and
+reads it with one ``provider.sample_grid(times)`` call, which makes every run
+bit-reproducible. The flag-clear instant is defined as the sampler's first
+read at or after workload completion, so the flag interval coincides exactly
+with the recorded sample span.
 
 Strategy runners are not reentrant per provider instance; create one
 provider (and one clock) per measurement.
@@ -225,10 +221,10 @@ class _VirtualSampler:
     ``sample_grid`` call reads the whole grid.
 
     Fixed interval: ``t0 + k*interval`` up to the end of the block. Back to
-    back: a handshake read at flag set, before the workload launches, then
-    ``t0 + k*read_cost`` up to the first point at or after completion, where
-    the flag clear is observed. The handshake is the first of the run's
-    readings, and the grid is read into the rest of the same array.
+    back: ``t0 + k*read_cost`` from the flag-set read at ``t0``, which comes
+    before the workload launches, up to the first point at or after
+    completion, where the flag clear is observed. A workload that raises
+    leaves the provider unread.
     """
 
     def __init__(self, provider, clock: VirtualClock, interval):
@@ -236,13 +232,7 @@ class _VirtualSampler:
 
     def __enter__(self):
         self.flag_set = self.clock.now
-        if self.interval is None:  # the handshake read
-            try:
-                self._handshake = self.provider.next_sample(self.flag_set)
-            except Exception as exc:
-                raise SamplerStartupFailure(
-                    f"could not take a reading before the workload started: {exc}"
-                ) from exc
+        if self.interval is None:  # the flag-set read's cost
             self.clock.advance(self.clock.read_cost)
         return self
 
@@ -252,19 +242,15 @@ class _VirtualSampler:
         back_to_back = self.interval is None
         step = self.clock.read_cost if back_to_back else self.interval
         self.times = _read_times(self.flag_set, step, self.clock.now, back_to_back)
-        if back_to_back:
-            self.powers = np.empty(self.times.size)
-            self.powers[0] = self._handshake
-            self.provider.sample_grid(self.times[1:], out=self.powers[1:])
-            self.clock.now = float(self.times[-1])  # the clear is observed at the last read
-        else:
-            self.powers = self.provider.sample_grid(self.times)
+        self.powers = self.provider.sample_grid(self.times)
         self.flag_clear = float(self.times[-1])
+        if back_to_back:
+            self.clock.now = self.flag_clear  # the clear is observed at the last read
 
 
 def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.ndarray:
     """The virtual sampler's read times ``t0 + k*step``, bit for bit as Python
-    computes them. Back to back: from k = 0 (the handshake, read at ``t0``
+    computes them. Back to back: from k = 0 (the flag-set read, at ``t0``
     itself) up to the first k whose time is at or after ``t_end``. At a fixed
     interval: every k whose time is at most ``t_end`` (plus 1e-12)."""
     bound = t_end if back_to_back else t_end + 1e-12
@@ -279,7 +265,7 @@ def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.
     if k == grid.size:
         raise ValueError(f"a step of {step:g} s does not move a clock at {bound:g} s")
     if back_to_back:
-        grid[0] = t0  # the handshake's time: -0.0 + 0.0 is +0.0
+        grid[0] = t0  # the flag-set read's time: -0.0 + 0.0 is +0.0
     times = grid[: k + back_to_back]
     # a step under one ulp of the times moves the clock by whole ulps, two reads to one time
     if not (times[1:] > times[:-1]).all():
@@ -484,10 +470,13 @@ def run_mtsm(
 
     Driver sequence: start the sampler, set the flag, start timing, run the
     workload, synchronize, stop timing, clear the flag, join the sampler.
-    The sampler guarantees at least one reading before the workload starts
-    (SamplerStartupFailure otherwise) and owns the sample buffer until the
-    join hands it to the caller. Energy is the sample mean of all recorded
-    readings times the timed elapsed.
+    The sampler's first reading is at flag set, before the workload starts,
+    and the sampler owns the sample buffer until the join hands it to the
+    caller. The threaded sampler raises SamplerStartupFailure when no
+    reading comes before the workload would start; a virtual run reads its
+    whole grid after the workload, so a provider that cannot answer at flag
+    set raises its own error there. Energy is the sample mean of all
+    recorded readings times the timed elapsed.
     """
     clock = clock or VirtualClock()
     with _sampler(provider, clock) as sampler:

@@ -3,14 +3,11 @@
 A provider answers one question: what is the instantaneous board power at
 time ``t``? ``next_sample(t)`` returns that power in mW. The caller owns the
 clock and passes its reading; providers never see a clock. Virtual runs read
-their whole time grid at once through ``sample_grid(times, out=None)``, which
-writes the readings into ``out`` (a writable C-contiguous float64 array of
-the grid's shape) and returns it, or into one new array when ``out`` is None;
-the virtual sampler passes the slice of its run's readings after the
-handshake, so a run holds its readings in one array. The default reads the
-times one by one with ``next_sample``, in order; a provider overrides it only
-when it can answer a whole grid faster with the same results, and an
-override must accept ``out``. Three implementations ship with the toolkit:
+their whole time grid at once, flag-set time included, through
+``sample_grid(times)``, which returns the readings as one new array. The
+default reads the times one by one with ``next_sample``, in order; a provider
+overrides it only when it can answer a whole grid faster with the same
+results. Three implementations ship with the toolkit:
 
 * ReplayProvider      plays back a recorded trace, step-hold interpolated
                       (each reading holds until the next), because sensors
@@ -21,9 +18,9 @@ override must accept ``out``. Three implementations ship with the toolkit:
 * SyntheticDeviceProvider  evaluates a synthetic model as a simulated
                       device: idle until a kernel launch anchors the
                       profile, then plateau / ramp / stepped decay. A grid
-                      draws its noise into ``out`` in one call and adds the
-                      profile's array form onto it piece by piece; a single
-                      read, the scalar form and one draw.
+                      draws its noise into its readings in one call and adds
+                      the profile's array form onto them piece by piece; a
+                      single read, the scalar form and one draw.
 
 A live sensor adapter (e.g. over a vendor management library) implements the
 same contract but is not bundled; the CLI reports ``SensorUnavailable`` for
@@ -44,38 +41,17 @@ from .synthetic import SyntheticModel, _add_power, _scalar_power
 from .trace import PowerTrace
 
 
-def _readings(times: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The array a grid's readings go into: ``out`` once checked, or a new one.
-    Contiguous, because ``reshape`` copies a strided array and readings
-    added onto the copy would be lost."""
-    if out is None:
-        return np.empty(times.shape)
-    if not (
-        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == times.shape
-        and out.flags.c_contiguous and out.flags.writeable
-    ):
-        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
-        raise ValueError(
-            f"out must be a writable C-contiguous float64 array of shape {times.shape}, got {got}"
-        )
-    return out
-
-
 class PowerProvider:
     """Contract: ``next_sample(t)`` returns the power (mW) at time ``t`` (s)."""
 
     def next_sample(self, t: float) -> float:
         raise NotImplementedError
 
-    def sample_grid(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
         """The power (mW) at every time of ``times``, read in order: what
-        ``next_sample`` returns, or raises, time by time. The readings are
-        written into ``out``, which is returned, or into a new array."""
-        times = np.asarray(times)
-        out = _readings(times, out)  # a bad out fails before the first read
+        ``next_sample`` returns, or raises, time by time."""
         read = self.next_sample
-        out[...] = [read(t) for t in times.tolist()]
-        return out
+        return np.array([read(t) for t in np.asarray(times).tolist()], dtype=np.float64)
 
 
 class ReplayProvider(PowerProvider):
@@ -95,18 +71,15 @@ class ReplayProvider(PowerProvider):
         idx = int(np.searchsorted(times, t, side="right")) - 1
         return float(self._trace.powers[idx])
 
-    def sample_grid(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
-        out = _readings(times, out)
         trace_times = self._trace.times
         if times.size:
             # raise what the first time outside the trace raises time by time
             outside = (times < trace_times[0]) | (times > trace_times[-1]) if trace_times.size else True
             if np.any(outside):
                 self.next_sample(float(times[np.argmax(outside)]))
-        # every index is in range now, so "clip" changes none; "raise" would buffer out
-        index = np.searchsorted(trace_times, times, side="right") - 1
-        return np.take(self._trace.powers, index, out=out, mode="clip")
+        return self._trace.powers[np.searchsorted(trace_times, times, side="right") - 1]
 
 
 class ConstantPowerProvider(PowerProvider):
@@ -118,10 +91,8 @@ class ConstantPowerProvider(PowerProvider):
     def next_sample(self, t: float) -> float:
         return self.power_mw
 
-    def sample_grid(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = _readings(np.asarray(times), out)
-        out.fill(self.power_mw)
-        return out
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.power_mw)
 
 
 class SyntheticDeviceProvider(PowerProvider):
@@ -148,11 +119,11 @@ class SyntheticDeviceProvider(PowerProvider):
 
     def next_sample(self, t: float) -> float:
         p, sd = _scalar_power(self.model, t, self._t_launch), self.model.noise_stddev
-        return max(p + sd * self._rng.standard_normal(), 0.0) if sd > 0 else p
+        return max(0.0, p + sd * self._rng.standard_normal()) if sd > 0 else p
 
-    def sample_grid(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def sample_grid(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
-        powers = _readings(times, out)
+        powers = np.empty(times.shape)
         if (sd := self.model.noise_stddev) > 0:
             # the noise is drawn into the readings and the profile added onto it:
             # 0.0 + sd * z is what normal(0.0, sd) computes, signed zeros included

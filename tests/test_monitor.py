@@ -27,6 +27,7 @@ from instrujoule import (
     SyntheticModel,
     TimedWorkload,
     VirtualClock,
+    Workload,
     energy_from_readings,
     measure_instruction,
     run_mtsm,
@@ -163,8 +164,9 @@ class TestRunMtsm:
         assert result.trace.times[0] == result.flag_timeline[0]
 
     def test_startup_failure_on_dead_provider(self):
+        # a virtual run reads its flag-set time with the rest of its grid
         provider = ReplayProvider(PowerTrace([], []))
-        with pytest.raises(SamplerStartupFailure):
+        with pytest.raises(ProviderExhausted, match="^replay trace is empty$"):
             run_mtsm(provider, TimedWorkload(1.0))
 
     def test_midrun_exhaustion_propagates(self):
@@ -202,9 +204,9 @@ class RecordingProvider(ConstantPowerProvider):
         self.calls.append(("next_sample", t))
         return super().next_sample(t)
 
-    def sample_grid(self, times, out=None):
+    def sample_grid(self, times):
         self.calls.append(("sample_grid", len(times)))
-        return super().sample_grid(times, out)
+        return super().sample_grid(times)
 
 
 class TestVirtualGrid:
@@ -262,7 +264,7 @@ class TestVirtualGrid:
             _read_times(1e12, 1e-5, 1e12 + 0.01, True)
 
     def test_a_clock_started_at_negative_zero(self):
-        # the handshake reads at t0 itself; a fixed-interval grid starts at t0 + 0*step
+        # the flag-set read is at t0 itself; a fixed-interval grid starts at t0 + 0*step
         mtsm = run_mtsm(ConstantPowerProvider(1.0), TimedWorkload(0.01), clock=VirtualClock(start=-0.0))
         sma = run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.01), lead=0.0, tail=0.0,
                       clock=VirtualClock(start=-0.0))
@@ -270,19 +272,30 @@ class TestVirtualGrid:
         assert math.copysign(1.0, mtsm.flag_timeline[0]) == -1.0
         assert math.copysign(1.0, sma.times[0]) == 1.0
 
-    def test_mtsm_reads_the_handshake_then_one_grid(self):
+    def test_mtsm_reads_one_grid(self):
         provider = RecordingProvider()
         result = run_mtsm(provider, TimedWorkload(0.05), clock=VirtualClock(start=3.0))
-        assert provider.calls == [("next_sample", 3.0), ("sample_grid", result.n_samples - 1)]
+        assert provider.calls == [("sample_grid", result.n_samples)]
 
     def test_sma_reads_one_grid(self):
         provider = RecordingProvider()
         trace = run_sma(provider, TimedWorkload(0.05), lead=0.01, tail=0.01)
         assert provider.calls == [("sample_grid", len(trace))]
 
+    @pytest.mark.parametrize("strategy", ["mtsm", "sma"])
+    def test_a_workload_that_raises_leaves_the_provider_unread(self, strategy):
+        class Fails(Workload):
+            def run(self, clock, provider):
+                clock.advance(0.01)
+                raise RuntimeError("kernel failed")
+
+        provider = RecordingProvider()
+        with pytest.raises(RuntimeError, match="^kernel failed$"):
+            RUNNERS[strategy](provider, Fails(), clock=VirtualClock())
+        assert provider.calls == []
+
     def test_a_long_run_holds_two_grid_length_arrays(self):
-        # a noisy, ramped 200k-point run: its times and its readings, with the
-        # handshake in the readings' first slot and the grid read into the rest
+        # a noisy, ramped 200k-point run: its times and its readings
         model = SyntheticModel(p_idle=20e3, p_kernel=60e3, ramp_mw=10e3, kernel_duration=19.998,
                                noise_stddev=1_000.0, rng_seed=3)
 
@@ -412,6 +425,11 @@ class TestWorkloadGuards:
     def test_kernel_launch_needs_a_synthetic_provider(self, strategy):
         with pytest.raises(ValueError, match="^KernelLaunchWorkload needs a synthetic provider$"):
             RUNNERS[strategy](ConstantPowerProvider(100.0), KernelLaunchWorkload(), clock=VirtualClock())
+
+    @pytest.mark.parametrize("strategy", RUNNERS)
+    def test_abstract_workload_is_not_run(self, strategy):
+        with pytest.raises(NotImplementedError):
+            RUNNERS[strategy](ConstantPowerProvider(100.0), Workload(), clock=VirtualClock())
 
     def test_kernel_launch_guard_under_threaded_mtsm(self):
         # the sampler thread is joined on the way out (see conftest)

@@ -161,7 +161,7 @@ class TestBlockNoise:
         numpy_times = list(times)  # np.float64 times read as Python floats do
         assert type(numpy_times[0]) is np.float64
         self.assert_bits_equal(self.reads(SyntheticDeviceProvider(self.MODEL), idle, numpy_times), want)
-        # as a virtual MTSM run reads: a handshake read, then one grid
+        # reads before the launch, then one grid
         device = SyntheticDeviceProvider(self.MODEL)
         handshake = [device.next_sample(t) for t in idle]
         device.launch(0.25)
@@ -200,6 +200,18 @@ class TestBlockNoise:
         provider.launch(0.0)
         assert provider.sample_grid(np.linspace(0.0, 1.0, n)).shape == (n,)
         assert (rng.calls, rng.drawn) == (1, n)
+
+    def test_signed_zero_reads_match_one_grid(self):
+        # an idle of -0.0 under noise that underflows to a signed zero
+        rng = np.random.default_rng(52)
+        times = np.linspace(0.0, 1.0, 200)
+        for p_idle in (0.0, -0.0, 3_000.0):
+            for sd in (5e-324, 1e-300, 800.0):
+                for launch in (None, 0.5) * 5:
+                    model = SyntheticModel(p_idle=p_idle, noise_stddev=sd, rng_seed=int(rng.integers(2**32)))
+                    reader, gridder = _device(model, launch), _device(model, launch)
+                    reads = [reader.next_sample(t) for t in times.tolist()]
+                    self.assert_bits_equal(reads, gridder.sample_grid(times))
 
 
 def scalar_reads(provider, times):
@@ -317,86 +329,6 @@ def _device(model, launch=None):
     if launch is not None:
         device.launch(launch)
     return device
-
-
-_OUT_TRACE = PowerTrace(np.linspace(0.0, 3.0, 700), np.random.default_rng(5).uniform(0.0, 9e4, 700))
-_OUT_MODEL = SyntheticModel(noise_stddev=800.0, ramp_mw=5_000.0, kernel_duration=1.0, rng_seed=21)
-# fresh providers of every kind that ships, and the default sample_grid
-OUT_PROVIDERS = {
-    "replay": lambda: ReplayProvider(_OUT_TRACE),
-    "constant": lambda: ConstantPowerProvider(1234.5),
-    "default": CountingProvider,
-    "noisy device": lambda: _device(_OUT_MODEL, 0.5),
-    "noise-free device": lambda: _device(replace(_OUT_MODEL, noise_stddev=0.0), 0.5),
-    "unlaunched device": lambda: _device(_OUT_MODEL),
-}
-
-
-def _read_only(n):
-    out = np.zeros(n)
-    out.setflags(write=False)
-    return out
-
-
-# outs that no grid of n times may be read into
-BAD_OUTS = {
-    "short": lambda n: np.empty(n - 1),
-    "long": lambda n: np.empty(n + 1),
-    "float32": lambda n: np.empty(n, dtype=np.float32),
-    "int64": lambda n: np.empty(n, dtype=np.int64),
-    "list": lambda n: [0.0] * n,
-    "strided": lambda n: np.empty(2 * n)[::2],
-    "2-d": lambda n: np.empty((1, n)),
-    "read-only": _read_only,
-}
-
-
-class TestGridIntoOut:
-    """``sample_grid(times, out=buf)`` writes what ``sample_grid(times)``
-    returns into ``buf`` and returns ``buf``; a bad ``out`` fails before any
-    read or draw."""
-
-    # more than one 8192-point block in the ramp and in the decay
-    ASCENDING = np.linspace(0.0, 3.0, 30_000)
-    SHUFFLED = np.random.default_rng(8).permutation(ASCENDING)
-
-    @pytest.mark.parametrize("times", [ASCENDING, SHUFFLED, ASCENDING[:0]], ids=["ascending", "shuffled", "empty"])
-    @pytest.mark.parametrize("kind", sorted(OUT_PROVIDERS))
-    def test_out_holds_the_readings(self, kind, times):
-        want = OUT_PROVIDERS[kind]().sample_grid(times)
-        run = np.full(times.size + 1, np.nan)  # as a run's readings: slot 0 is the handshake's
-        out = run[1:]
-        assert OUT_PROVIDERS[kind]().sample_grid(times, out=out) is out
-        assert out.tobytes() == want.tobytes()
-        assert np.isnan(run[0])
-
-    @pytest.mark.parametrize("bad", sorted(BAD_OUTS))
-    @pytest.mark.parametrize("kind", sorted(OUT_PROVIDERS))
-    def test_a_bad_out_fails_before_any_read(self, kind, bad):
-        bad = BAD_OUTS[bad](self.ASCENDING.size)
-        provider = OUT_PROVIDERS[kind]()
-        with pytest.raises(ValueError, match="^out must be a writable C-contiguous float64 array"):
-            provider.sample_grid(self.ASCENDING, out=bad)
-        assert getattr(provider, "seen", []) == []
-        # nothing drawn: the next grid is a fresh provider's first
-        want = OUT_PROVIDERS[kind]().sample_grid(self.ASCENDING)
-        assert provider.sample_grid(self.ASCENDING).tobytes() == want.tobytes()
-
-    def test_negative_zero_idle_keeps_its_sign(self):
-        model = SyntheticModel(p_idle=-0.0, p_kernel=5_000.0, ramp_mw=1_000.0, noise_stddev=0.0, decay_steps=2)
-        times = np.linspace(0.0, 5.0, 2_001)
-        for launch in (None, 1.0):
-            want = np.array([_scalar_power(model, t, math.inf if launch is None else launch)
-                             for t in times.tolist()])
-            assert np.signbit(want[0]) and np.signbit(want[-1])  # idle before the launch and after the decay
-            got = _device(model, launch).sample_grid(times)
-            assert got.tobytes() == want.tobytes()
-            out = np.full(times.size, np.nan)
-            _device(model, launch).sample_grid(times, out=out)
-            assert out.tobytes() == want.tobytes()
-            if launch is not None:
-                assert noise_free_power(model, times, launch).tobytes() == want.tobytes()
-                assert noise_free_power(model, times[::-1], launch).tobytes() == want[::-1].tobytes()
 
 
 def random_model(rng):
@@ -527,6 +459,19 @@ class TestAscendingGrids:
         for t, p in zip(times.tolist(), flat.tolist()):
             got = noise_free_power(self.MODEL, t, self.LAUNCH)
             assert type(got) is float and got == p
+
+    def test_negative_zero_idle_keeps_its_sign(self):
+        model = SyntheticModel(p_idle=-0.0, p_kernel=5_000.0, ramp_mw=1_000.0, noise_stddev=0.0, decay_steps=2)
+        times = np.linspace(0.0, 5.0, 2_001)
+        for launch in (None, 1.0):
+            want = np.array([_scalar_power(model, t, math.inf if launch is None else launch)
+                             for t in times.tolist()])
+            assert np.signbit(want[0]) and np.signbit(want[-1])  # idle before the launch and after the decay
+            got = _device(model, launch).sample_grid(times)
+            assert got.tobytes() == want.tobytes()
+            if launch is not None:
+                assert noise_free_power(model, times, launch).tobytes() == want.tobytes()
+                assert noise_free_power(model, times[::-1], launch).tobytes() == want[::-1].tobytes()
 
     def test_nan_launch_reads_idle(self):
         times = np.array([0.0, 1.0, math.inf, math.nan, -math.inf])
