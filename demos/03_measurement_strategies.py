@@ -37,7 +37,7 @@ print(f"ground truth window energy: {truth / 1000:.2f} J\n")
 trace = run_sma(
     SyntheticDeviceProvider(model),
     KernelLaunchWorkload(),
-    SamplerConfig.fixed_interval(0.015),
+    SamplerConfig(0.015),
     lead=1.0,
     tail=1.0,
 )

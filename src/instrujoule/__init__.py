@@ -37,7 +37,6 @@ from .codegen import (
     validate_kernel,
 )
 from .energy import (
-    InstructionEnergy,
     energy_from_readings,
     instruction_energy,
     integrate_energy,
@@ -73,6 +72,7 @@ from .hardware import (
 from .monitor import (
     CallableWorkload,
     EnergyResult,
+    InstructionEnergy,
     KernelLaunchWorkload,
     RealClock,
     SamplerConfig,

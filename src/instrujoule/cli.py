@@ -175,7 +175,7 @@ def _cmd_measure(args) -> int:
 
     strategy = Strategy(args.strategy)
     if strategy == Strategy.SMA:
-        config = SamplerConfig.fixed_interval(args.interval)
+        config = SamplerConfig(args.interval)
         trace = run_sma(provider, workload, config, lead=args.lead, tail=args.tail, clock=clock)
         save_trace(trace, sys.stdout if args.out == "-" else args.out)
         return 0

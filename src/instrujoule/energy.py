@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,15 +23,14 @@ from .codegen import _is_integer
 from .errors import EmptyWindow, MalformedTrace, ZeroInstructions
 from .trace import KernelWindow, PowerTrace
 
-if TYPE_CHECKING:  # avoid a circular import; monitor builds these results
-    from .catalog import InstructionSpec
-    from .monitor import EnergyResult
-
 
 def energy_from_readings(powers, elapsed: float) -> float:
     """Sample-mean energy (mJ) of ``powers`` (mW) over ``elapsed`` seconds.
 
-    Raises MalformedTrace on a NaN or infinite reading."""
+    Raises MalformedTrace on a NaN or infinite reading, and ValueError unless
+    ``elapsed`` is finite and >= 0."""
+    if not (math.isfinite(elapsed) and elapsed >= 0):
+        raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0:
         raise EmptyWindow("no power readings")
@@ -68,18 +65,3 @@ def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -
         )
     return (e_total - e_overhead) / n_instructions * 1000.0
 
-
-@dataclass(frozen=True)
-class InstructionEnergy:
-    """Per-instruction extraction result with its two raw runs for audit."""
-
-    spec: "InstructionSpec | None"
-    optimized: bool
-    strategy: str
-    energy_per_instruction: float  # uJ
-    e_total: float                 # mJ
-    e_overhead: float              # mJ
-    n_instructions: int
-    negative_net: bool
-    total_result: "EnergyResult | None" = None
-    overhead_result: "EnergyResult | None" = None

@@ -51,7 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import InstructionEnergy, energy_from_readings, instruction_energy
+from .catalog import InstructionSpec
+from .energy import energy_from_readings, instruction_energy
 from .errors import SamplerStalled, SamplerStartupFailure
 from .providers import PowerProvider
 from .trace import KernelWindow, PowerTrace
@@ -204,6 +205,22 @@ class EnergyResult:
     trace: PowerTrace                 # the recorded readings
     flag_timeline: tuple[float, float]  # (set_time, clear_time), seconds
     label: str = "kernel"
+
+
+@dataclass(frozen=True)
+class InstructionEnergy:
+    """Per-instruction extraction result with its two raw runs for audit."""
+
+    spec: InstructionSpec | None
+    optimized: bool
+    strategy: str
+    energy_per_instruction: float  # uJ
+    e_total: float                 # mJ
+    e_overhead: float              # mJ
+    n_instructions: int
+    negative_net: bool
+    total_result: EnergyResult | None = None
+    overhead_result: EnergyResult | None = None
 
 
 def _sampler(provider: PowerProvider, clock, interval: float | None = None):
@@ -419,7 +436,7 @@ def run_sma(
     free-running sampling there is no reliable way to delimit the kernel
     inside the trace, so callers get the raw recording only.
     """
-    config = config or SamplerConfig.fixed_interval()
+    config = config or SamplerConfig()
     if not (lead >= 0 and tail >= 0):
         raise ValueError("lead and tail must be >= 0")
     if not (math.isfinite(lead) and math.isfinite(tail)):

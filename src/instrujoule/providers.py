@@ -86,6 +86,8 @@ class ConstantPowerProvider(PowerProvider):
     def __init__(self, power_mw: float):
         if not power_mw >= 0:
             raise ValueError("power must be >= 0")
+        if not math.isfinite(power_mw):
+            raise ValueError("power must be finite")
         self.power_mw = float(power_mw)
 
     def next_sample(self, t: float) -> float:

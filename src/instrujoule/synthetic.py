@@ -17,9 +17,9 @@ single read, and an array one for a grid. The array form splits an ascending
 grid into the five pieces by searching it for the piece edges and adds each
 piece onto its slice of an array it is given, so a simulated device adds the
 profile onto its noise where it lies: idle and plateau are constants, and
-the ramp and decay steps are computed in blocks of at most 8192 points, the
-ramp in place in one small scratch array. Any other array is sorted first
-and its powers put back in its order.
+the ramp and decay steps are computed in blocks of at most 8192 points, so
+no temporary is as long as the grid. Any other array is sorted first and its
+powers put back in its order.
 """
 
 from __future__ import annotations
@@ -201,18 +201,11 @@ def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out:
     for a, b, p in ((0, rise, idle), (rise, ramp_start, plateau), (decay, t.size, idle)):
         if a < b:  # an empty slice's add costs as much as a short one's
             out[a:b] += p
-    # the ramp and the decay steps are computed a block at a time, so no temporary is as long as
-    # the grid; the ramp, which can span the whole grid, in place in one scratch block
-    scratch = np.empty(min(_BLOCK, end - ramp_start))
+    # the ramp and the decay steps, a block at a time, so no temporary is as long as the grid
     for a in range(ramp_start, end, _BLOCK):
-        # the plateau plus ramp_mw * clip((t - exec_start) / kernel_duration, 0, 1)
         b = min(a + _BLOCK, end)
-        frac = np.subtract(t[a:b], exec_start, out=scratch[: b - a])
-        frac /= model.kernel_duration
-        np.clip(frac, 0.0, 1.0, out=frac)
-        frac *= model.ramp_mw
-        frac += plateau
-        out[a:b] += frac
+        frac = np.clip((t[a:b] - exec_start) / model.kernel_duration, 0.0, 1.0)
+        out[a:b] += plateau + model.ramp_mw * frac
     height = model.p_kernel + model.ramp_mw
     for a in range(end, decay, _BLOCK):
         b = min(a + _BLOCK, decay)

@@ -185,6 +185,15 @@ class TestEnergyFromReadings:
         with pytest.raises(MalformedTrace, match="non-finite power reading"):
             energy_from_readings(bad, 1.0)
 
+    @pytest.mark.parametrize("elapsed", [math.nan, math.inf, -math.inf, -2.0, -5e-324])
+    def test_bad_elapsed_rejected(self, elapsed):
+        with pytest.raises(ValueError, match=f"elapsed must be finite and >= 0, got {elapsed}"):
+            energy_from_readings([1.0], elapsed)
+
+    @pytest.mark.parametrize("elapsed", [0.0, -0.0, 5e-324, sys.float_info.max])
+    def test_edge_elapsed_accepted(self, elapsed):
+        assert energy_from_readings([1.0], elapsed) == elapsed
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 4097])
     def test_sum_is_np_sum_bit_for_bit(self, n):
         # sizes around numpy's pairwise-summation blocks of 8 and 128

@@ -60,6 +60,10 @@ class TestConstantProvider:
         with pytest.raises(ValueError, match="power must be >= 0"):
             ConstantPowerProvider(float("nan"))
 
+    def test_infinite_rejected(self):
+        with pytest.raises(ValueError, match="power must be finite"):
+            ConstantPowerProvider(math.inf)
+
 
 class TestSyntheticDeviceProvider:
     def test_idle_until_launch(self):
