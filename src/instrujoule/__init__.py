@@ -15,7 +15,6 @@ from .analysis import (
     compare_strategies,
     mape,
     rmse,
-    rmse_normalized,
 )
 from .catalog import (
     CATEGORY_ORDER,

@@ -40,15 +40,6 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def rmse_normalized(pred, truth) -> float:
-    """RMSE divided by the mean absolute reference (dimensionless)."""
-    p, t = _paired(pred, truth)
-    denom = float(np.mean(np.abs(t)))
-    if denom == 0:
-        raise ZeroReference("normalization undefined for an all-zero reference")
-    return rmse(p, t) / denom
-
-
 @dataclass(frozen=True)
 class ComparisonStats:
     mape: float  # percent

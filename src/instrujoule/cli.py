@@ -264,7 +264,7 @@ def _cmd_report(args) -> int:
         trace = load_trace(args.plot_trace)
         _write_out(emit_plot_data(trace), args.out)
         return 0
-    table = load_reference_table(args.fixture)
+    table = load_reference_table()
     _write_out(render_table(table, format=args.format), args.out)
     return 0
 
@@ -330,13 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a results table or plot data")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.add_argument("--fixture", help="override the bundled fixture path")
     p.add_argument("--plot-trace", help="emit plot data for a trace csv instead")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("fixtures", help="dump the verified bundled reference table as csv")
-    p.add_argument("--fixture", help="override the bundled fixture path")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_report, format="csv", plot_trace=None)
 

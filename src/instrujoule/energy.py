@@ -28,7 +28,9 @@ def energy_from_readings(powers, elapsed: float) -> float:
     """Sample-mean energy (mJ) of ``powers`` (mW) over ``elapsed`` seconds.
 
     Raises MalformedTrace on a NaN or infinite reading, and ValueError unless
-    ``elapsed`` is finite and >= 0."""
+    ``elapsed`` is a finite number >= 0, not a bool."""
+    if isinstance(elapsed, bool):
+        raise ValueError(f"elapsed must be a number, got {elapsed!r}")
     if not (math.isfinite(elapsed) and elapsed >= 0):
         raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
     powers = np.asarray(powers, dtype=np.float64)
@@ -59,9 +61,13 @@ def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -
     A negative result (overhead exceeded total: noise swamped the signal) is
     returned as-is; callers flag it rather than clamping.
     """
+    _check_instruction_count(n_instructions)
+    return (e_total - e_overhead) / n_instructions * 1000.0
+
+
+def _check_instruction_count(n_instructions) -> None:
     if not (_is_integer(n_instructions) and 1 <= n_instructions <= sys.float_info.max):
         raise ZeroInstructions(
             f"n_instructions must be an integer from 1 to {sys.float_info.max:g}, got {n_instructions}"
         )
-    return (e_total - e_overhead) / n_instructions * 1000.0
 

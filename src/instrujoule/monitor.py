@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import InstructionSpec
-from .energy import energy_from_readings, instruction_energy
+from .energy import _check_instruction_count, energy_from_readings, instruction_energy
 from .errors import SamplerStalled, SamplerStartupFailure
 from .providers import PowerProvider
 from .trace import KernelWindow, PowerTrace
@@ -76,6 +76,8 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0, read_cost: float = DEFAULT_READ_COST):
+        if isinstance(read_cost, bool):
+            raise ValueError(f"read_cost must be a number, got {read_cost!r}")
         if not read_cost > 0:
             raise ValueError("read_cost must be > 0")
         if not math.isfinite(read_cost):
@@ -116,6 +118,8 @@ class SamplerConfig:
     interval: float = DEFAULT_SMA_INTERVAL
 
     def __post_init__(self):
+        if isinstance(self.interval, bool):
+            raise ValueError(f"interval must be a number, got {self.interval!r}")
         if not self.interval > 0:
             raise ValueError("fixed-interval sampling needs interval > 0")
         if not math.isfinite(self.interval):
@@ -149,6 +153,8 @@ class TimedWorkload(Workload):
     label: str = "kernel"
 
     def __post_init__(self):
+        if isinstance(self.seconds, bool):
+            raise ValueError(f"seconds must be a number, got {self.seconds!r}")
         if not self.seconds > 0:
             raise ValueError("workload duration must be > 0")
         if not math.isfinite(self.seconds):
@@ -543,6 +549,7 @@ def measure_instruction(
     strategy = Strategy(strategy)
     if strategy not in _RUNNERS:
         raise ValueError(f"per-instruction extraction needs papi or mtsm, not {strategy.value}")
+    _check_instruction_count(n_instructions)  # before either run, not after both
     clock_factory = clock_factory or VirtualClock
     runner = _RUNNERS[strategy]
     if isinstance(provider_factory, (tuple, list)):

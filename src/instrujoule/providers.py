@@ -84,6 +84,8 @@ class ReplayProvider(PowerProvider):
 
 class ConstantPowerProvider(PowerProvider):
     def __init__(self, power_mw: float):
+        if isinstance(power_mw, bool):
+            raise ValueError(f"power_mw must be a number, got {power_mw!r}")
         if not power_mw >= 0:
             raise ValueError("power must be >= 0")
         if not math.isfinite(power_mw):

@@ -10,7 +10,6 @@ figures); rendering computed values uses four decimals.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,7 +21,6 @@ from .trace import PowerTrace
 
 GENERATIONS = ("Maxwell", "Pascal", "Volta", "Turing")
 
-FIXTURE_ENV_VAR = "INSTRUJOULE_FIXTURES"
 _FIXTURE_NAME = "instruction_energy_table.csv"
 _FIXTURE_SHA256 = "d8e49b261375b907f680c44b97b17b1a18aa805d3377bc3091b5f5c35589d569"
 
@@ -105,20 +103,16 @@ class ResultsTable:
 
 
 def _fixture_path() -> Path:
-    override = os.environ.get(FIXTURE_ENV_VAR)
-    if override:
-        return Path(override)
     return Path(resources.files("instrujoule.data") / _FIXTURE_NAME)
 
 
-def load_reference_table(path: str | Path | None = None) -> ResultsTable:
+def load_reference_table() -> ResultsTable:
     """Load the bundled reference table, verifying its checksum.
 
-    ``path`` (or the INSTRUJOULE_FIXTURES environment variable) may point at
-    a relocated copy; the content must still match the pinned checksum, so
-    any tampering raises FixtureCorrupt.
+    The table is read from the package's own data; bytes that do not match
+    the pinned checksum, or a file that cannot be read, raise FixtureCorrupt.
     """
-    p = Path(path) if path is not None else _fixture_path()
+    p = _fixture_path()
     try:
         raw = p.read_bytes()
     except OSError as exc:

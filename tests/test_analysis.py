@@ -12,7 +12,6 @@ from instrujoule import (
     load_reference_table,
     mape,
     rmse,
-    rmse_normalized,
 )
 
 
@@ -98,18 +97,6 @@ class TestPermutationInvariance:
             order = rng.permutation(25)
             assert mape(pred[order], truth[order]) == pytest.approx(base[0], rel=1e-12)
             assert rmse(pred[order], truth[order]) == pytest.approx(base[1], rel=1e-12)
-
-
-class TestNormalizedRmse:
-    def test_scales_out_units(self):
-        pred, truth = [11.0, 22.0], [10.0, 20.0]
-        assert rmse_normalized(pred, truth) == pytest.approx(
-            rmse(pred, truth) / 15.0, rel=1e-12
-        )
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ZeroReference):
-            rmse_normalized([1.0], [0.0])
 
 
 class TestCompareStrategies:

@@ -583,12 +583,12 @@ class TestReportAndFixtures:
 
     def test_tampered_fixture_exit_1(self, capsys, tmp_path, monkeypatch):
         import shutil
-        from instrujoule.report import FIXTURE_ENV_VAR, _fixture_path
+        from instrujoule import report
 
         copy = tmp_path / "t.csv"
-        shutil.copy(_fixture_path(), copy)
+        shutil.copy(report._fixture_path(), copy)
         copy.write_text(copy.read_text().replace("4.0660", "9.9999"))
-        monkeypatch.setenv(FIXTURE_ENV_VAR, str(copy))
+        monkeypatch.setattr(report, "_fixture_path", lambda: copy)
         code, _, err = run_cli(capsys, "fixtures")
         assert code == 1
         assert "FixtureCorrupt" in err

@@ -40,6 +40,8 @@ TRACE_ERRORS = {
     "unrecognized comment": ("# hello\n" + H, "line 1: unrecognized comment '# hello'", 1),
     "empty file": ("", "line 1: expected header 't_s,power_mw', got '<end of file>'", 1),
     "wrong field count": (H + "0,1\n1,2,3\n", "line 3: expected 't,power', got '1,2,3'", 3),
+    # numpy parses rows of one width; the width check sends them to the scan
+    "every row too wide": (H + "0,1,2\n1,2,3\n", "line 2: expected 't,power', got '0,1,2'", 2),
     "abc": (H + "0,1\nabc,2\n", "line 3: unparsable number in 'abc,2'", 3),
     "nan": (H + "0,1\n1,nan\n", "line 3: non-finite value in '1,nan'", 3),
     "inf": (H + "0,1\ninf,2\n", "line 3: non-finite value in 'inf,2'", 3),
@@ -81,6 +83,9 @@ CAPTURE_ERRORS = {
         "line 1: unparsable shunt value 'x'", 1),
     "wrong field count": (
         C + R + "0.001,1,2\n", MalformedCapture, "line 4: expected 7 fields, got 3", 4),
+    "every row too short": (
+        C + "0,12.1,12,3.4,3.3,10\n0.001,12.1,12,3.4,3.3,10\n", MalformedCapture,
+        "line 3: expected 7 fields, got 6", 3),
     "abc": (
         C + R + "0.001,12.1,abc,3.4,3.3,10,12\n", MalformedCapture,
         "line 4: unparsable number in '0.001,12.1,abc,3.4,3.3,10,12'", 4),

@@ -404,6 +404,21 @@ class TestInfiniteRunParameters:
             run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
+class TestBoolRunParameters:
+    # a bool is an int, so it would pass the finite and positive checks as 0 or 1
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name, build", [
+        ("read_cost", lambda v: VirtualClock(read_cost=v)),
+        ("interval", SamplerConfig),
+        ("seconds", TimedWorkload),
+        ("power_mw", ConstantPowerProvider),
+        ("elapsed", lambda v: energy_from_readings([1.0], v)),
+    ])
+    def test_rejected(self, name, build, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value}$"):
+            build(value)
+
+
 RUNNERS = {"sma": run_sma, "papi": run_papi_style, "mtsm": run_mtsm}
 
 
@@ -590,6 +605,23 @@ class TestMeasureInstruction:
                 TimedWorkload(1.0), TimedWorkload(1.0), 0, Strategy.MTSM,
             )
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_bad_count_rejected_before_any_run(self, n):
+        from instrujoule import ZeroInstructions
+
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return ConstantPowerProvider(1.0)
+
+        with pytest.raises(ZeroInstructions, match="^n_instructions must be an integer from 1"):
+            measure_instruction(
+                (factory, factory), TimedWorkload(20.0), TimedWorkload(20.0), n, Strategy.MTSM,
+                clock_factory=lambda: VirtualClock(read_cost=1e-4),
+            )
+        assert calls == []
+
 
 class TestThreadedMode:
     def test_mtsm_real_clock_smoke(self):
@@ -730,7 +762,7 @@ class TestThreadedMode:
             assert out.n_samples == len(trace) < provider.reads
 
     def test_mtsm_on_a_noisy_synthetic_device(self):
-        # the sampler thread reads the device one time at a time, each read a one-point grid
+        # the sampler thread reads the device one time at a time, each read a next_sample call
         model = SyntheticModel(
             p_idle=20_000.0, p_kernel=60_000.0, ramp_mw=10_000.0, noise_stddev=5_000.0,
             pre_rise_lead=0.002, kernel_duration=0.018, rng_seed=13,

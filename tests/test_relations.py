@@ -10,7 +10,11 @@ sample mean of its readings times the timed elapsed, so:
 * identical total and overhead runs extract exactly 0 uJ, not flagged
   negative;
 * adding a constant c to every replayed power adds c * elapsed to the MTSM
-  and PAPI energies, up to the rounding of the sum.
+  and PAPI energies, up to the rounding of the sum;
+* moving the virtual clock's origin keeps an MTSM run's sample count, and
+  moves its energy on a simulated device by less than one sample's weight:
+  the profile is anchored at launch, so only rounding can move a read
+  across a piece edge.
 """
 
 import dataclasses
@@ -44,6 +48,17 @@ OVERHEAD_TRACE, _ = synthesize(dataclasses.replace(MODEL, p_kernel=60_000.0, rng
 START = 0.15
 KERNEL = TimedWorkload(0.45)
 READ_COSTS = [1e-4, 5e-4, 3e-3]
+
+
+def random_model(rng):
+    # about half the models have a flat plateau, and about half no noise
+    return SyntheticModel(
+        p_idle=rng.uniform(5e3, 4e4), p_kernel=rng.uniform(1e4, 1e5),
+        ramp_mw=rng.choice([0.0, rng.uniform(0, 2e4)]), noise_stddev=rng.choice([0.0, rng.uniform(0, 5e3)]),
+        pre_rise_lead=rng.uniform(1e-3, 5e-3), kernel_duration=rng.uniform(0.05, 0.4),
+        decay_steps=int(rng.integers(0, 7)), decay_step_duration=rng.uniform(0.005, 0.05),
+        rng_seed=int(rng.integers(2**31)),
+    )
 
 
 def replay(trace, scale=1.0, offset=0.0):
@@ -121,3 +136,23 @@ class TestOffset:
         shifted = runner(replay(TRACE, offset=offset), KERNEL, clock=clock(read_cost))
         assert shifted.elapsed == base.elapsed and shifted.n_samples == base.n_samples
         assert shifted.energy == pytest.approx(base.energy + offset * base.elapsed, rel=1e-12, abs=0)
+
+
+class TestClockOrigin:
+    @pytest.mark.parametrize("origin", [0.1, 1e3, 1e6])
+    def test_mtsm_moves_less_than_one_sample(self, origin):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            model, read_cost = random_model(rng), rng.uniform(2e-4, 2e-3)
+
+            def mtsm(start):
+                return run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(),
+                                clock=VirtualClock(start=start, read_cost=read_cost))
+
+            base, shifted = mtsm(0.0), mtsm(origin)
+            assert shifted.n_samples == base.n_samples
+            # one sample's weight: a read that rounding moves across a piece edge
+            # changes by at most the profile's height, since the same read draws
+            # the same noise and clipping at zero only narrows a gap
+            peak = model.p_idle + model.p_kernel + model.ramp_mw + 8 * model.noise_stddev
+            assert abs(shifted.energy - base.energy) <= peak * base.elapsed / base.n_samples

@@ -25,7 +25,8 @@ from instrujoule import (
     render_table,
     run_mtsm,
 )
-from instrujoule.report import FIXTURE_ENV_VAR, ResultsTable
+from instrujoule import report
+from instrujoule.report import ResultsTable
 
 GOLDEN = Path(__file__).parent / "data" / "golden_table.csv"
 
@@ -94,27 +95,17 @@ class TestFixtureLoad:
         assert half.cell("Pascal", True) is not None
 
     def test_tampered_file_rejected(self, table, tmp_path, monkeypatch):
-        from instrujoule.report import _fixture_path
-
         copy = tmp_path / "tampered.csv"
-        shutil.copy(_fixture_path(), copy)
+        shutil.copy(report._fixture_path(), copy)
         text = copy.read_text().replace("4.0660", "4.0661")
         copy.write_text(text)
-        monkeypatch.setenv(FIXTURE_ENV_VAR, str(copy))
+        monkeypatch.setattr(report, "_fixture_path", lambda: copy)
         with pytest.raises(FixtureCorrupt):
             load_reference_table()
 
-    def test_env_var_relocation_accepted(self, tmp_path, monkeypatch):
-        from instrujoule.report import _fixture_path
-
-        copy = tmp_path / "relocated.csv"
-        shutil.copy(_fixture_path(), copy)
-        monkeypatch.setenv(FIXTURE_ENV_VAR, str(copy))
-        assert len(load_reference_table()) == 32
-
-    def test_missing_file_rejected(self, monkeypatch):
-        monkeypatch.setenv(FIXTURE_ENV_VAR, "/nonexistent/table.csv")
-        with pytest.raises(FixtureCorrupt):
+    def test_missing_file_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "_fixture_path", lambda: tmp_path / "missing.csv")
+        with pytest.raises(FixtureCorrupt, match="cannot read fixture"):
             load_reference_table()
 
 
