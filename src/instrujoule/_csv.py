@@ -10,6 +10,7 @@ prints in fixed notation gets its digits from integer arithmetic and a
 non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9) is
 formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
 than a quarter of the rows hold such a value, are formatted by ``%`` alone.
+A write whose neighbouring times would print alike raises before it starts.
 
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
@@ -73,10 +74,9 @@ def _field_masks() -> np.ndarray:
 _FIELD_MASKS = _field_masks()
 
 
-def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
-    """``block``'s rows as ``fmt % row`` lines, each ended by "\n"."""
-    rows, k = block.shape
-    x = block.reshape(-1)
+def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's leading-digit exponent ``e`` (0 outside fixed notation), its
+    nine digits ``r``, and where its ``%.9g`` text is certain from its sign, e and r."""
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.floor(np.log10(a))
@@ -86,10 +86,16 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
         # a margin of 1e-6 from the tie leaves rint with the exact rounding
         m = a * _POW10[8 - e]
         r = np.rint(m)
-        ok = fixed & (r >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6) | (a == 0)
+        return e, r, fixed & (r >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6) | (a == 0)
+
+
+def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
+    """``block``'s rows as ``fmt % row`` lines, each ended by "\n"."""
+    rows, k = block.shape
+    x = block.reshape(-1)
     # every array of the chunk is freed once spent: kept to the end, about 20
     # of them nearly double the write's peak memory
-    del a, m, fixed
+    e, r, ok = _round9(x)
     row_ok = ok.reshape(rows, k).all(axis=1)
     if 4 * np.count_nonzero(row_ok) < 3 * rows:
         # splicing in this many rows costs more than the rest of the pass
@@ -171,16 +177,30 @@ def format_rows(columns, delimiter: str = ","):
             yield _format_block(np.stack(chunk, axis=1, dtype=np.float64), fmt, delimiter)
 
 
-def write(sink, head: list[str], columns) -> None:
-    """Write ``head``, then one row per index of ``columns``, to a path,
-    text stream or binary stream, one chunk of rows per write."""
-    if isinstance(sink, (str, Path)):
-        with Path(sink).open("w", encoding="utf-8") as f:
-            write(f, head, columns)
-        return
-    text = hasattr(sink, "encoding") or isinstance(sink, io.TextIOBase)
-    for chunk in itertools.chain(["\n".join(head) + "\n"], format_rows(columns)):
-        sink.write(chunk if text else chunk.encode("utf-8"))
+def _check_distinct(t, error_cls) -> None:
+    """Raise ``error_cls`` if two neighbours of the ascending ``t`` print as
+    the same ``%.9g`` text, which would not read back as ascending."""
+    t = np.asarray(t, dtype=np.float64)
+    # equal text needs a gap within one unit of the ninth digit, under 2e-8 of either value
+    at = np.flatnonzero(t[1:] - t[:-1] < np.abs(t[1:]) * 2e-8)
+    if at.size:
+        _, r, ok = _round9(t)
+        # confirmed by text: pairs of the same nine digits, and pairs whose digits are not certain
+        for i in at[(r[at] == r[at + 1]) | ~(ok[at] & ok[at + 1])].tolist():
+            if (text := "%.9g" % t[i]) == "%.9g" % t[i + 1]:
+                raise error_cls(f"times at rows {i} and {i + 1} both print as {text}; the CSV would not read back")
+
+
+def write(sink, head: list[str], columns, error_cls: type) -> None:
+    """Write ``head``, then one row per index of ``columns``, to a path, text
+    stream or binary stream, one chunk of rows per write. Raises ``error_cls``,
+    before it opens or writes anything, if two neighbouring times print alike."""
+    _check_distinct(columns[0], error_cls)
+    is_path = isinstance(sink, (str, Path))
+    with Path(sink).open("w", encoding="utf-8") if is_path else contextlib.nullcontext(sink) as f:
+        text = hasattr(f, "encoding") or isinstance(f, io.TextIOBase)
+        for chunk in itertools.chain(["\n".join(head) + "\n"], format_rows(columns)):
+            f.write(chunk if text else chunk.encode("utf-8"))
 
 
 def _survey(f) -> tuple[int, int] | None:

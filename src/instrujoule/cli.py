@@ -15,11 +15,11 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
+from ._checks import check_number, is_number
 from .analysis import compare_strategies
 from .catalog import find_instruction, list_catalog
 from .codegen import (
@@ -152,10 +152,7 @@ def _cmd_measure(args) -> int:
     label = args.label
     if workload_arg.startswith("synth:"):
         seconds = float(workload_arg[len("synth:"):])
-        if not seconds > 0:
-            raise _Usage("workload duration must be > 0")
-        if not math.isfinite(seconds):
-            raise _Usage("workload duration must be finite")
+        check_number("workload duration", seconds, "> 0", _Usage)
         label = label or "kernel"
     else:
         label = label or workload_arg
@@ -227,9 +224,8 @@ def _load_energies(path: str) -> dict[str, float]:
             f"{path}: expected an EnergyResult JSON, or an object with 'energies'"
         )
     for label, value in energies.items():
-        # a bool is an int; an int compares exactly, so one past float range fails
-        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (numeric and abs(value) <= sys.float_info.max):
+        # an int compares exactly, so one past float range fails
+        if not (is_number(value) and abs(value) <= sys.float_info.max):
             raise LengthMismatch(f"{path}: energy of '{label}' is not a finite number")
     return {label: float(value) for label, value in energies.items()}
 

@@ -31,8 +31,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._checks import is_integer
 from .catalog import InstructionSpec, OperandType, in_catalog
 from .errors import ParseFailure, UnsupportedInstruction
 
@@ -120,10 +119,6 @@ def _chain_registers(head: str, prefix: str, first_free: int, n: int) -> list[tu
     return [(regs[i], regs[i + 1]) for i in range(n)]
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def generate_kernel(
     spec: InstructionSpec,
     variant: KernelVariant,
@@ -142,9 +137,9 @@ def generate_kernel(
         raise UnsupportedInstruction(
             f"{spec.opcode}.{spec.operand_type.value} is not in the benchmark catalog"
         )
-    if not (_is_integer(iterations) and 1 <= iterations <= _U32_MAX):
+    if not (is_integer(iterations) and 1 <= iterations <= _U32_MAX):
         raise ValueError(f"iterations must be an integer from 1 to {_U32_MAX}, got {iterations}")
-    if not (_is_integer(unroll_factor) and unroll_factor >= 1):
+    if not (is_integer(unroll_factor) and unroll_factor >= 1):
         raise ValueError(f"unroll_factor must be an integer >= 1, got {unroll_factor}")
     iterations, unroll_factor = int(iterations), int(unroll_factor)
 

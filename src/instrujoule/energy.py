@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .codegen import _is_integer
+from ._checks import check_number, is_integer
 from .errors import EmptyWindow, MalformedTrace, ZeroInstructions
 from .trace import KernelWindow, PowerTrace
 
@@ -29,10 +29,7 @@ def energy_from_readings(powers, elapsed: float) -> float:
 
     Raises MalformedTrace on a NaN or infinite reading, and ValueError unless
     ``elapsed`` is a finite number >= 0, not a bool."""
-    if isinstance(elapsed, bool):
-        raise ValueError(f"elapsed must be a number, got {elapsed!r}")
-    if not (math.isfinite(elapsed) and elapsed >= 0):
-        raise ValueError(f"elapsed must be finite and >= 0, got {elapsed}")
+    check_number("elapsed", elapsed, ">= 0")
     powers = np.asarray(powers, dtype=np.float64)
     if powers.size == 0:
         raise EmptyWindow("no power readings")
@@ -66,7 +63,7 @@ def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -
 
 
 def _check_instruction_count(n_instructions) -> None:
-    if not (_is_integer(n_instructions) and 1 <= n_instructions <= sys.float_info.max):
+    if not (is_integer(n_instructions) and 1 <= n_instructions <= sys.float_info.max):
         raise ZeroInstructions(
             f"n_instructions must be an integer from 1 to {sys.float_info.max:g}, got {n_instructions}"
         )

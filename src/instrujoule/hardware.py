@@ -23,12 +23,12 @@ malformed file raises MalformedCapture naming the offending line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csv
+from ._checks import check_number
 from .energy import integrate_energy
 from .errors import MalformedCapture, MissingShunt
 from .trace import KernelWindow, PowerTrace, _check_times
@@ -63,10 +63,7 @@ class HwCapture:
     __slots__ = ("times", "channels", "r_s")
 
     def __init__(self, times, channels: dict, r_s: float):
-        if not r_s > 0:
-            raise MalformedCapture(f"shunt resistance must be > 0, got {r_s}")
-        if not math.isfinite(r_s):
-            raise MalformedCapture(f"shunt resistance must be finite, got {r_s}")
+        check_number("shunt resistance", r_s, "> 0", MalformedCapture)
         t = np.asarray(times, dtype=np.float64)
         _check_times(t, MalformedCapture)
         chans = {}
@@ -101,8 +98,7 @@ def _rails(v_s1, v_g1, v_s2, v_g2, i_clamp, v_dps, r_s):
 
 def hw_power(sample: HwSample, r_s: float) -> HwPowerPoint:
     """Evaluate the rig power equation for one capture row (watts)."""
-    if not 0 < r_s < math.inf:
-        raise ValueError(f"shunt resistance must be finite and > 0, got {r_s}")
+    check_number("shunt resistance", r_s, "> 0")
     channels = (getattr(sample, name) for name in _CHANNELS)
     return HwPowerPoint(sample.t, *_rails(*channels, r_s))
 
@@ -121,7 +117,7 @@ def hw_energy(capture: HwCapture, window: KernelWindow) -> float:
 
 def save_hw_capture(capture: HwCapture, sink) -> None:
     head = [f"# r_s_ohm: {capture.r_s:.9g}", _HEADER]
-    _csv.write(sink, head, [capture.times] + [capture.channels[name] for name in _CHANNELS])
+    _csv.write(sink, head, [capture.times] + [capture.channels[name] for name in _CHANNELS], MalformedCapture)
 
 
 def load_hw_capture(source) -> HwCapture:

@@ -51,6 +51,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_number
 from .catalog import InstructionSpec
 from .energy import _check_instruction_count, energy_from_readings, instruction_energy
 from .errors import SamplerStalled, SamplerStartupFailure
@@ -76,14 +77,8 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0, read_cost: float = DEFAULT_READ_COST):
-        if isinstance(read_cost, bool):
-            raise ValueError(f"read_cost must be a number, got {read_cost!r}")
-        if not read_cost > 0:
-            raise ValueError("read_cost must be > 0")
-        if not math.isfinite(read_cost):
-            raise ValueError("read_cost must be finite")
-        if not math.isfinite(start):
-            raise ValueError("clock start must be finite")
+        check_number("read_cost", read_cost, "> 0")
+        check_number("start", start)
         self.now = float(start)
         self.read_cost = float(read_cost)
 
@@ -118,12 +113,7 @@ class SamplerConfig:
     interval: float = DEFAULT_SMA_INTERVAL
 
     def __post_init__(self):
-        if isinstance(self.interval, bool):
-            raise ValueError(f"interval must be a number, got {self.interval!r}")
-        if not self.interval > 0:
-            raise ValueError("fixed-interval sampling needs interval > 0")
-        if not math.isfinite(self.interval):
-            raise ValueError("fixed-interval sampling needs a finite interval")
+        check_number("interval", self.interval, "> 0")
 
     @classmethod
     def fixed_interval(cls, interval: float = DEFAULT_SMA_INTERVAL) -> "SamplerConfig":
@@ -153,12 +143,7 @@ class TimedWorkload(Workload):
     label: str = "kernel"
 
     def __post_init__(self):
-        if isinstance(self.seconds, bool):
-            raise ValueError(f"seconds must be a number, got {self.seconds!r}")
-        if not self.seconds > 0:
-            raise ValueError("workload duration must be > 0")
-        if not math.isfinite(self.seconds):
-            raise ValueError("workload duration must be finite")
+        check_number("seconds", self.seconds, "> 0")
 
     def run(self, clock, provider: PowerProvider) -> None:
         clock.advance(self.seconds)
@@ -443,10 +428,8 @@ def run_sma(
     inside the trace, so callers get the raw recording only.
     """
     config = config or SamplerConfig()
-    if not (lead >= 0 and tail >= 0):
-        raise ValueError("lead and tail must be >= 0")
-    if not (math.isfinite(lead) and math.isfinite(tail)):
-        raise ValueError("lead and tail must be finite")
+    check_number("lead", lead, ">= 0")
+    check_number("tail", tail, ">= 0")
     clock = clock or VirtualClock()
     with _sampler(provider, clock, config.interval) as sampler:
         clock.advance(lead)

@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from ._checks import check_number
 from .errors import ProviderExhausted
 from .synthetic import SyntheticModel, _add_power, _scalar_power
 from .trace import PowerTrace
@@ -84,12 +85,7 @@ class ReplayProvider(PowerProvider):
 
 class ConstantPowerProvider(PowerProvider):
     def __init__(self, power_mw: float):
-        if isinstance(power_mw, bool):
-            raise ValueError(f"power_mw must be a number, got {power_mw!r}")
-        if not power_mw >= 0:
-            raise ValueError("power must be >= 0")
-        if not math.isfinite(power_mw):
-            raise ValueError("power must be finite")
+        check_number("power_mw", power_mw, ">= 0")
         self.power_mw = float(power_mw)
 
     def next_sample(self, t: float) -> float:

@@ -25,18 +25,15 @@ powers put back in its order.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import check_number, is_integer, is_number
 from .errors import InvalidModel
 from .trace import KernelWindow, PowerTrace
 
-# concrete types: isinstance checks on the numbers ABCs made the model check 3.7 times as slow
-_INTEGER = (int, np.integer)
-_NUMBER = (float, np.floating) + _INTEGER
-# the fields that must be above zero, checked in this order
+# the fields that must be above zero; the others but rng_seed must be >= 0
 _POSITIVE = ("pre_rise_lead", "kernel_duration", "decay_step_duration", "idle_lead", "idle_tail",
              "sample_rate")
 # what json.loads gives for each JSON type, named as JSON names it
@@ -73,30 +70,13 @@ class SyntheticModel:
         # getattr, not vars(self): materializing the instance dict slows every
         # later attribute read, and the per-sample profile reads the model
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            # a string breaks the comparisons below with a bare TypeError, and a
-            # bool passes them as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, _NUMBER):
-                raise InvalidModel(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.rng_seed, _INTEGER) or self.rng_seed < 0:
-            raise InvalidModel(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-        for name in _POSITIVE:
-            if not (value := getattr(self, name)) > 0:
-                raise InvalidModel(f"{name} must be > 0, got {value}")
-        for name in ("noise_stddev", "decay_steps"):
-            if not (value := getattr(self, name)) >= 0:
-                raise InvalidModel(f"{name} must be >= 0, got {value}")
-        if not (self.p_idle >= 0 and self.p_kernel >= 0 and self.ramp_mw >= 0):
-            raise InvalidModel("power levels must be >= 0")
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if isinstance(value, _INTEGER):
-                # numpy takes a seed of any size; no other int may overflow a float
-                if name != "rng_seed" and abs(value) > sys.float_info.max:
-                    raise InvalidModel(f"{name} is too large for a float")
-            elif not math.isfinite(value):
-                raise InvalidModel(f"{name} must be finite, got {value}")
-        if not isinstance(self.decay_steps, _INTEGER):
+            if name != "rng_seed":
+                check_number(name, getattr(self, name), "> 0" if name in _POSITIVE else ">= 0", InvalidModel)
+        # numpy takes a seed of any size, so it is not held to a float's range
+        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
+            kind = "non-negative integer" if is_number(self.rng_seed) else "number"
+            raise InvalidModel(f"rng_seed must be a {kind}, got {self.rng_seed!r}")
+        if not is_integer(self.decay_steps):
             raise InvalidModel(f"decay_steps must be an integer, got {self.decay_steps!r}")
 
     def window_for_launch(self, t_launch: float) -> KernelWindow:

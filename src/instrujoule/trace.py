@@ -13,13 +13,13 @@ MalformedTrace naming the offending line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import _csv
+from ._checks import check_number
 from .errors import MalformedTrace
 
 _HEADER = "t_s,power_mw"
@@ -31,9 +31,8 @@ class KernelWindow:
     end: float
 
     def __post_init__(self):
-        for name, bound in (("start", self.start), ("end", self.end)):
-            if not math.isfinite(bound):
-                raise ValueError(f"window {name} must be finite, got {bound}")
+        check_number("window start", self.start)
+        check_number("window end", self.end)
         if self.end <= self.start:
             raise ValueError(f"window end {self.end} must exceed start {self.start}")
 
@@ -119,7 +118,7 @@ def save_trace(trace: PowerTrace, sink) -> None:
     head = []
     if trace.window is not None:
         head.append("# window: %.9g,%.9g" % (trace.window.start, trace.window.end))
-    _csv.write(sink, head + [_HEADER], [trace.times, trace.powers])
+    _csv.write(sink, head + [_HEADER], [trace.times, trace.powers], MalformedTrace)
 
 
 def load_trace(source) -> PowerTrace:

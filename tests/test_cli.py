@@ -197,14 +197,20 @@ class TestMeasure:
         assert out == ""
         assert err == f"error: MalformedTrace: replay trace {trace_path} has no samples\n"
 
+    # the ids keep the case names from before the messages took the shared form
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--strategy", "mtsm", "--read-cost", "nan"], "read_cost must be > 0"),
-            (["--strategy", "sma", "--lead", "nan"], "lead and tail must be >= 0"),
-            (["--strategy", "sma", "--tail", "nan"], "lead and tail must be >= 0"),
-            (["--strategy", "sma", "--interval", "nan"], "fixed-interval sampling needs interval > 0"),
-            (["--strategy", "sma", "--interval", "0"], "fixed-interval sampling needs interval > 0"),
+            pytest.param(["--strategy", "mtsm", "--read-cost", "nan"], "read_cost must be > 0, got nan",
+                         id="extra0-read_cost must be > 0"),
+            pytest.param(["--strategy", "sma", "--lead", "nan"], "lead must be >= 0, got nan",
+                         id="extra1-lead and tail must be >= 0"),
+            pytest.param(["--strategy", "sma", "--tail", "nan"], "tail must be >= 0, got nan",
+                         id="extra2-lead and tail must be >= 0"),
+            pytest.param(["--strategy", "sma", "--interval", "nan"], "interval must be > 0, got nan",
+                         id="extra3-fixed-interval sampling needs interval > 0"),
+            pytest.param(["--strategy", "sma", "--interval", "0"], "interval must be > 0, got 0.0",
+                         id="extra4-fixed-interval sampling needs interval > 0"),
         ],
     )
     def test_nan_run_parameter_exits_1(self, capsys, tmp_path, extra, message):
@@ -216,13 +222,18 @@ class TestMeasure:
         assert out == ""
         assert err == f"error: ValueError: {message}\n"
 
+    # the ids keep the case names from before the messages took the shared form
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--strategy", "mtsm", "--read-cost", "inf"], "read_cost must be finite"),
-            (["--strategy", "sma", "--interval", "inf"], "fixed-interval sampling needs a finite interval"),
-            (["--strategy", "sma", "--lead", "inf"], "lead and tail must be finite"),
-            (["--strategy", "sma", "--tail", "inf"], "lead and tail must be finite"),
+            pytest.param(["--strategy", "mtsm", "--read-cost", "inf"], "read_cost must be finite, got inf",
+                         id="extra0-read_cost must be finite"),
+            pytest.param(["--strategy", "sma", "--interval", "inf"], "interval must be finite, got inf",
+                         id="extra1-fixed-interval sampling needs a finite interval"),
+            pytest.param(["--strategy", "sma", "--lead", "inf"], "lead must be finite, got inf",
+                         id="extra2-lead and tail must be finite"),
+            pytest.param(["--strategy", "sma", "--tail", "inf"], "tail must be finite, got inf",
+                         id="extra3-lead and tail must be finite"),
         ],
     )
     def test_infinite_run_parameter_exits_1(self, capsys, tmp_path, extra, message):
@@ -242,7 +253,7 @@ class TestMeasure:
             "--provider", f"synth:{model_path}", "--workload", "synth:inf",
         )
         assert code == 2
-        assert err == "usage error: workload duration must be finite\n"
+        assert err == "usage error: workload duration must be finite, got inf\n"
 
     def test_nan_workload_duration_is_a_usage_error(self, capsys, tmp_path):
         model_path = write_model(tmp_path)

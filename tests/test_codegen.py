@@ -135,7 +135,7 @@ class TestGeneratePreconditions:
         with pytest.raises(ValueError, match="^iterations must be an integer from 1 to 4294967295, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=0)
 
-    @pytest.mark.parametrize("iterations", [-7, 2**32, 2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("iterations", [-7, 2**32, 2.5, True, np.float64(3.0), np.True_])
     def test_iterations_the_u32_counter_cannot_hold(self, iterations):
         # the counter holds 1 .. 2**32 - 1; a float or bool would be written
         # into the PTX as it prints

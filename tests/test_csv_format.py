@@ -100,3 +100,36 @@ def test_chunks_of_one_decade(decade):
     texts = ["%.9g" % v for v in values.tolist()]
     expected = "".join(",".join(texts[i:i + WIDTH]) + "\n" for i in range(0, values.size, WIDTH))
     assert "".join(_csv.format_rows(columns)) == expected
+
+
+def _ascending_grids(rng):
+    # neighbours one or a few units of the ninth digit apart, where their text
+    # may or may not coincide: grids at any origin and step, grids of ties at
+    # the ninth digit, grids across a power of ten, runs of adjacent floats
+    for case in range(2000):
+        n = int(rng.integers(2, 40))
+        kind, e = case % 4, int(rng.integers(-6, 12))
+        if kind == 0:
+            t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 12) + np.arange(n) * 10.0 ** rng.uniform(-14, 0)
+        elif kind == 1:
+            t = (rng.integers(10**8, 10**9) + np.arange(n) * 0.5) * 10.0 ** (e - 8)
+        elif kind == 2:
+            t = 10.0**e + (np.arange(n) - n // 2) * 10.0 ** (e - 9) * rng.uniform(0.3, 3)
+        else:
+            x = rng.uniform(1.0, 1e9)
+            t = x + np.arange(n) * np.spacing(x) * int(rng.integers(1, 1000))
+        yield np.unique(t)
+
+
+def test_refuses_exactly_the_times_that_print_alike():
+    outcomes = []
+    for t in _ascending_grids(np.random.default_rng(7)):
+        texts = ["%.9g" % v for v in t.tolist()]
+        alike = [i for i in range(t.size - 1) if texts[i] == texts[i + 1]]
+        try:
+            _csv._check_distinct(t, ValueError)
+            assert not alike, f"{texts} not refused"
+        except ValueError as exc:
+            assert alike and str(exc).startswith(f"times at rows {alike[0]} and {alike[0] + 1} both print as ")
+        outcomes.append(bool(alike))
+    assert 200 < sum(outcomes) < len(outcomes) - 200  # both outcomes well covered

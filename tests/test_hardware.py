@@ -113,12 +113,19 @@ class TestHwPower:
         assert p1.p_total == pytest.approx(alpha**2 * p0.p_total, rel=1e-12)
 
     def test_bad_shunt_rejected(self):
-        with pytest.raises(ValueError, match="^shunt resistance must be finite and > 0, got 0.0$"):
+        with pytest.raises(ValueError, match="^shunt resistance must be > 0, got 0.0$"):
             hw_power(HwSample(0.0, 12, 12, 3, 3, 0, 12), r_s=0.0)
+
+    @pytest.mark.parametrize("r_s", [np.True_, "0.1"])
+    def test_non_number_shunt_rejected(self, r_s):
+        with pytest.raises(ValueError) as exc:
+            hw_power(HwSample(0.0, 12, 12, 3, 3, 0, 12), r_s=r_s)
+        assert str(exc.value) == f"shunt resistance must be a number, got {r_s!r}"
 
     @pytest.mark.parametrize("r_s", [-0.1, float("nan"), float("inf")])
     def test_negative_or_non_finite_shunt_rejected(self, r_s):
-        with pytest.raises(ValueError, match=f"^shunt resistance must be finite and > 0, got {r_s}$"):
+        rule = "finite" if r_s == float("inf") else "> 0"
+        with pytest.raises(ValueError, match=f"^shunt resistance must be {rule}, got {r_s}$"):
             hw_power(HwSample(0.0, 12, 12, 3, 3, 0, 12), r_s=r_s)
 
 
@@ -178,6 +185,20 @@ class TestCaptureValidation:
     def test_infinite_shunt(self):
         with pytest.raises(MalformedCapture, match="^shunt resistance must be finite, got inf$"):
             make_capture(r_s=float("inf"))
+
+    def test_capture_that_would_not_reload_is_refused(self, tmp_path):
+        capture = make_capture()
+        late = HwCapture(1e5 + capture.times / 10, capture.channels, capture.r_s)
+        with pytest.raises(MalformedCapture) as exc:
+            save_hw_capture(late, tmp_path / "c.csv")
+        assert str(exc.value) == "times at rows 0 and 1 both print as 100000; the CSV would not read back"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("r_s", [True, "0.1"])
+    def test_non_number_shunt(self, r_s):
+        with pytest.raises(MalformedCapture) as exc:
+            make_capture(r_s=r_s)
+        assert str(exc.value) == f"shunt resistance must be a number, got {r_s!r}"
 
     def test_infinite_shunt_comment(self):
         # both shunt rails would read zero, leaving the clamp rail alone

@@ -355,17 +355,18 @@ class TestNanRunParameters:
 
     @pytest.mark.parametrize("interval", [0.0, -0.015, float("nan")])
     def test_sampler_interval(self, interval):
-        with pytest.raises(ValueError, match="^fixed-interval sampling needs interval > 0$"):
+        with pytest.raises(ValueError, match=f"^interval must be > 0, got {interval}$"):
             SamplerConfig(interval)
 
     @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan")])
     def test_workload_duration(self, seconds):
-        with pytest.raises(ValueError, match="^workload duration must be > 0$"):
+        with pytest.raises(ValueError, match=f"^seconds must be > 0, got {seconds}$"):
             TimedWorkload(seconds)
 
     @pytest.mark.parametrize("lead, tail", [(float("nan"), 0.1), (0.1, float("nan"))])
     def test_sma_lead_and_tail(self, lead, tail):
-        with pytest.raises(ValueError, match="lead and tail must be >= 0"):
+        name = "lead" if math.isnan(lead) else "tail"
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got nan$"):
             run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
@@ -377,7 +378,7 @@ class TestInfiniteRunParameters:
     # from an infinite or NaN time and fail with numpy's message instead
     @pytest.mark.parametrize("start", [float("nan"), INF, -INF])
     def test_clock_start(self, start):
-        with pytest.raises(ValueError, match="clock start must be finite"):
+        with pytest.raises(ValueError, match=f"^start must be finite, got {start}$"):
             VirtualClock(start=start)
 
     def test_read_cost(self):
@@ -391,31 +392,36 @@ class TestInfiniteRunParameters:
         assert clock.now == 1.0
 
     def test_sampler_interval(self):
-        with pytest.raises(ValueError, match="fixed-interval sampling needs a finite interval"):
+        with pytest.raises(ValueError, match="^interval must be finite, got inf$"):
             SamplerConfig(INF)
 
     def test_workload_duration(self):
-        with pytest.raises(ValueError, match="workload duration must be finite"):
+        with pytest.raises(ValueError, match="^seconds must be finite, got inf$"):
             TimedWorkload(INF)
 
     @pytest.mark.parametrize("lead, tail", [(INF, 0.1), (0.1, INF)])
     def test_sma_lead_and_tail(self, lead, tail):
-        with pytest.raises(ValueError, match="lead and tail must be finite"):
+        name = "lead" if lead == INF else "tail"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
             run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=lead, tail=tail)
 
 
 class TestBoolRunParameters:
-    # a bool is an int, so it would pass the finite and positive checks as 0 or 1
-    @pytest.mark.parametrize("value", [True, False])
+    # a bool, numpy's too, would pass the finite and positive checks as 0 or
+    # 1, and a string used to meet a bare TypeError in them
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1"])
     @pytest.mark.parametrize("name, build", [
         ("read_cost", lambda v: VirtualClock(read_cost=v)),
         ("interval", SamplerConfig),
         ("seconds", TimedWorkload),
         ("power_mw", ConstantPowerProvider),
         ("elapsed", lambda v: energy_from_readings([1.0], v)),
+        ("start", lambda v: VirtualClock(start=v)),
+        ("lead", lambda v: run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), lead=v)),
+        ("tail", lambda v: run_sma(ConstantPowerProvider(1.0), TimedWorkload(0.1), tail=v)),
     ])
     def test_rejected(self, name, build, value):
-        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
             build(value)
 
 

@@ -57,11 +57,11 @@ class TestConstantProvider:
             ConstantPowerProvider(-1.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="power must be >= 0"):
+        with pytest.raises(ValueError, match="^power_mw must be >= 0, got nan$"):
             ConstantPowerProvider(float("nan"))
 
     def test_infinite_rejected(self):
-        with pytest.raises(ValueError, match="power must be finite"):
+        with pytest.raises(ValueError, match="^power_mw must be finite, got inf$"):
             ConstantPowerProvider(math.inf)
 
 

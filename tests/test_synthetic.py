@@ -51,9 +51,10 @@ class TestModelValidation:
         [
             ("noise_stddev", "noise_stddev must be >= 0, got nan"),
             ("sample_rate", "sample_rate must be > 0, got nan"),
-            ("p_idle", "power levels must be >= 0"),
-            ("p_kernel", "power levels must be >= 0"),
-            ("ramp_mw", "power levels must be >= 0"),
+            # the ids keep the names these cases had when the power levels shared one message
+            pytest.param("p_idle", "p_idle must be >= 0, got nan", id="p_idle-power levels must be >= 0"),
+            pytest.param("p_kernel", "p_kernel must be >= 0, got nan", id="p_kernel-power levels must be >= 0"),
+            pytest.param("ramp_mw", "ramp_mw must be >= 0, got nan", id="ramp_mw-power levels must be >= 0"),
             ("kernel_duration", "kernel_duration must be > 0, got nan"),
             ("decay_steps", "decay_steps must be >= 0, got nan"),
         ],
@@ -88,7 +89,7 @@ class TestModelValidation:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["p_idle", "kernel_duration", "decay_steps", "ramp_mw"])
-    @pytest.mark.parametrize("value", ["5", None, False])
+    @pytest.mark.parametrize("value", ["5", None, False, np.True_])
     def test_non_number_rejected(self, field, value):
         # a string would meet a bare TypeError in the range checks, and a bool pass them
         with pytest.raises(InvalidModel) as exc:

@@ -5,7 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from instrujoule import KernelWindow, MalformedTrace, PowerTrace, load_trace, save_trace
+from instrujoule import (
+    ConstantPowerProvider,
+    KernelWindow,
+    MalformedTrace,
+    PowerTrace,
+    TimedWorkload,
+    VirtualClock,
+    load_trace,
+    run_mtsm,
+    save_trace,
+)
 
 
 class TestPowerTraceInvariants:
@@ -34,6 +44,17 @@ class TestPowerTraceInvariants:
         with pytest.raises(MalformedTrace) as exc:
             PowerTrace(times, powers)
         assert str(exc.value) == "times and powers must be 1-d arrays of equal length"
+
+    @pytest.mark.parametrize("start, end, message", [
+        (np.False_, 1.0, "window start must be a number, got np.False_"),
+        (0.0, True, "window end must be a number, got True"),
+        ("0", 1.0, "window start must be a number, got '0'"),
+    ])
+    def test_non_number_window_bound_rejected(self, start, end, message):
+        # a bool would pass as 0 or 1
+        with pytest.raises(ValueError) as exc:
+            KernelWindow(start, end)
+        assert str(exc.value) == message
 
     def test_window_must_lie_within_span(self):
         with pytest.raises(MalformedTrace) as exc:
@@ -191,3 +212,29 @@ class TestRoundTrip:
             if n:
                 assert np.allclose(canonical.times, times, rtol=1e-8, atol=0)
                 assert np.allclose(canonical.powers, powers, rtol=1e-8, atol=1e-12)
+
+
+class TestClockOrigin:
+    # %.9g keeps nine digits: from 1e5 s on, one 0.1 ms read step is below the last one
+    @staticmethod
+    def _trace(origin):
+        clock = VirtualClock(start=origin, read_cost=1e-4)
+        return run_mtsm(ConstantPowerProvider(5.0), TimedWorkload(0.01), clock=clock).trace
+
+    @pytest.mark.parametrize("origin", [0.0, 1e3, 1e4])
+    def test_saved_trace_reloads(self, tmp_path, origin):
+        trace = self._trace(origin)
+        save_trace(trace, tmp_path / "t.csv")
+        back = load_trace(tmp_path / "t.csv")
+        assert back.times.tolist() == [float("%.9g" % t) for t in trace.times.tolist()]
+        assert back.powers.tolist() == trace.powers.tolist()
+
+    @pytest.mark.parametrize("origin", [1e5, 1e6])
+    def test_trace_that_would_not_reload_is_refused(self, tmp_path, origin):
+        trace, path, sink = self._trace(origin), tmp_path / "t.csv", io.StringIO()
+        for target in (sink, path):
+            with pytest.raises(MalformedTrace) as exc:
+                save_trace(trace, target)
+            assert str(exc.value) == f"times at rows 0 and 1 both print as {origin:.9g}; the CSV would not read back"
+        assert sink.getvalue() == ""
+        assert not path.exists()
