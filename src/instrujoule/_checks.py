@@ -24,10 +24,14 @@ def is_number(value) -> bool:
 def check_number(name: str, value, bound: str | None = None, error: type = ValueError) -> None:
     """Raise ``error`` unless ``value`` is a number, ``> 0`` or ``>= 0`` as
     ``bound`` says (None: any sign), and finite, checked in that order."""
-    if not is_number(value):
+    # a finite float, the common case, passes the first and last checks: only its bound is left
+    finite_float = type(value) is float and math.isfinite(value)
+    if not finite_float and not is_number(value):
         raise error(f"{name} must be a number, got {value!r}")
     if bound == "> 0" and not value > 0 or bound == ">= 0" and not value >= 0:
         raise error(f"{name} must be {bound}, got {value}")
+    if finite_float:
+        return
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past float range

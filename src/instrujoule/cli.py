@@ -141,6 +141,14 @@ def _parse_provider(arg: str) -> PowerTrace | SyntheticModel:
     raise _Usage(f"unknown provider {arg!r}; use replay:<file>, synth:<model.json>, or live")
 
 
+def _parse_float(text: str, name: str) -> float:
+    """``text`` as a float: one that does not parse is a usage error naming ``name``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise _Usage(f"{name} must be a number, got {text!r}") from None
+
+
 def _cmd_measure(args) -> int:
     source = _parse_provider(args.provider)
     synthetic = isinstance(source, SyntheticModel)
@@ -151,7 +159,7 @@ def _cmd_measure(args) -> int:
     seconds = None
     label = args.label
     if workload_arg.startswith("synth:"):
-        seconds = float(workload_arg[len("synth:"):])
+        seconds = _parse_float(workload_arg[len("synth:"):], "workload duration")
         check_number("workload duration", seconds, "> 0", _Usage)
         label = label or "kernel"
     else:
@@ -190,7 +198,8 @@ def _cmd_analyze_hw(args) -> int:
         parts = args.window.split(",")
         if len(parts) != 2:
             raise _Usage("--window must be '<start>,<end>'")
-        window = KernelWindow(float(parts[0]), float(parts[1]))
+        start, end = _parse_float(parts[0], "window start"), _parse_float(parts[1], "window end")
+        window = KernelWindow(start, end)
 
     wants_energy = args.out.endswith(".json") or (args.out == "-" and window is not None)
     if wants_energy:

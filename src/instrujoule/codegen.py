@@ -22,7 +22,7 @@ instructions from loop and static overheads.
 The emitted text targets PTX ISA 6.4 / sm_70. This module never invokes
 ptxas; ``emit_build_recipe`` documents the offline build steps for users
 with real hardware, and ``validate_kernel`` checks the structural
-invariants with a line-level scanner.
+invariants on one regular-expression scan of the kernel text.
 """
 
 from __future__ import annotations
@@ -227,51 +227,56 @@ def generate_kernel(
     )
 
 
-_INSTR_RE = re.compile(r"^\s*(?:@%p\d+\s+)?([a-z][\w.]*)\s+(.*);\s*$")
-_LABEL_RE = re.compile(r"^\s*(\$?\w+):\s*$")
-_RET_RE = re.compile(r"^\s*ret\s*;")
+# One line of comment-stripped text, from the newline that opens it: an
+# instruction, guard predicate optional, or a label. [^\S\n] is \s within a line.
+_LINE_RE = re.compile(
+    r"\n[^\S\n]*(?:(@%p\d+[^\S\n]+)?([a-z][\w.]*)[^\S\n]+(.*);[^\S\n]*$|(\$?\w+):[^\S\n]*$)",
+    re.MULTILINE,
+)
+_RET_RE = re.compile(r"\n[^\S\n]*ret[^\S\n]*;")
+_COMMENT_RE = re.compile(r"//.*")
 _REG_RE = re.compile(r"%[a-z]+\d+")
 
 
-def _scan_kernel(lines: list[str]):
-    """Line-level structural scan: (preamble, body, postlude) instruction lists.
+def _scan_kernel(text: str):
+    """Structural scan: the scanned text and its (preamble, body, postlude)
+    instruction lists.
 
-    Each instruction is a (mnemonic, operand text, line number) tuple. The
-    body lies between the loop label and its branch back, which neither
-    list holds. Raises ParseFailure when the text lacks the basic kernel
-    shape (entry directive, loop label, predicate-guarded back branch,
-    return).
+    The scanned text is ``text`` with every line break a newline, a newline
+    in front and the comments gone. Each instruction is a (mnemonic, operand
+    text, offset) tuple; ``_line_no`` turns the offset into the line number.
+    The body lies between the loop label, the first label line, and the
+    predicate-guarded branch back to it, which neither list holds. Raises
+    ParseFailure when the text lacks the basic kernel shape (entry
+    directive, loop label, branch back, return after it).
     """
-    has_entry = has_ret = False
-    preamble, body, postlude = [], [], []
-    section = preamble
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("//", 1)[0]
-        if not line.strip():
-            continue
-        has_entry = has_entry or ".entry" in line
-        if section is preamble and (m := _LABEL_RE.match(line)):
-            label = m.group(1)
-            branch = re.compile(rf"^\s*@%p\d+\s+bra\s+{re.escape(label)}\s*;\s*$")
-            section = body
-            continue
-        if section is body and branch.match(line):
-            section = postlude
-            continue
-        if section is postlude:
-            has_ret = has_ret or _RET_RE.match(line) is not None
-        if m := _INSTR_RE.match(line):
-            section.append((m.group(1), m.group(2), no))
-
-    if not has_entry:
+    # every line break splitlines knows (\r\n, \r, \x85, \u2028, ...) made the \n the regexes know
+    text = _COMMENT_RE.sub("", "\n" + "\n".join(text.splitlines()))
+    if ".entry" not in text:
         raise ParseFailure("no .entry directive found")
+    preamble, body, postlude = [], [], []
+    section, label = preamble, None
+    for m in _LINE_RE.finditer(text):
+        guard, mnemonic, operands, name = m.groups()
+        if section is preamble and name:
+            section, label = body, name
+        elif section is body and guard and mnemonic == "bra" and operands.rstrip() == label:
+            # the branch back: "@%p<n> bra <label>;" and whitespace
+            section, branch_end = postlude, m.end()
+        elif mnemonic:
+            section.append((mnemonic, operands, m.start()))
     if section is preamble:
         raise ParseFailure("no loop label found")
     if section is body:
         raise ParseFailure(f"no predicate-guarded branch back to {label}")
-    if not has_ret:
+    if not _RET_RE.search(text, branch_end):
         raise ParseFailure("no ret after the loop")
-    return preamble, body, postlude
+    return text, (preamble, body, postlude)
+
+
+def _line_no(text: str, offset: int) -> int:
+    """The 1-based line number of the line that opens at ``offset`` of a scanned text."""
+    return text.count("\n", 0, offset + 1)
 
 
 def _operands(operand_text: str) -> tuple[str | None, list[str]]:
@@ -291,18 +296,18 @@ def validate_kernel(kernel: BenchmarkKernel) -> ValidationReport:
     """
     if not kernel.ptx_text.strip():
         raise ParseFailure("empty kernel text")
-    preamble, body, postlude = _scan_kernel(kernel.ptx_text.splitlines())
+    text, (preamble, body, postlude) = _scan_kernel(kernel.ptx_text)
 
     mnemonic = kernel.spec.ptx_mnemonic
     expected = kernel.unroll_factor if kernel.variant == KernelVariant.TOTAL else 0
-    targets = [(no, *_operands(operands)) for mn, operands, no in body if mn == mnemonic]
+    targets = [(offset, *_operands(operands)) for mn, operands, offset in body if mn == mnemonic]
 
     chain_ok = True
     chain_detail = "chain intact" if len(targets) > 1 else "fewer than 2 chained instructions"
-    for (_, dest, _), (no, _, sources) in zip(targets, targets[1:]):
+    for (_, dest, _), (offset, _, sources) in zip(targets, targets[1:]):
         if dest is None or dest not in sources:
             chain_ok = False
-            chain_detail = f"line {no}: {dest} not consumed by the next instruction"
+            chain_detail = f"line {_line_no(text, offset)}: {dest} not consumed by the next instruction"
             break
 
     bound = str(kernel.iterations)

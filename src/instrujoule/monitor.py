@@ -269,7 +269,7 @@ def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.
     grid = np.arange(max(np.ceil((bound - t0) / step), 0) + 2, dtype=np.float64)
     grid *= step
     grid += t0  # in place: t0 + k*step, bit for bit
-    k = np.searchsorted(grid, bound, "left" if back_to_back else "right")
+    k = grid.searchsorted(bound, "left" if back_to_back else "right")
     if k == grid.size:
         raise ValueError(f"a step of {step:g} s does not move a clock at {bound:g} s")
     if back_to_back:

@@ -174,8 +174,10 @@ def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out:
     if math.isnan(t_launch):  # every comparison with the edges is false: idle throughout
         out += float(model.p_idle)
         return out
-    rise, start = np.searchsorted(t, (t_launch, exec_start), "left")
-    end, decay = np.searchsorted(t, (exec_end, decay_end), "right")
+    # the array's own searchsorted and the ufuncs, not np.searchsorted and np.clip,
+    # whose Python wrappers cost a small grid more than its arithmetic does
+    rise, start = t.searchsorted((t_launch, exec_start), "left")
+    end, decay = t.searchsorted((exec_end, decay_end), "right")
     idle, plateau = float(model.p_idle), float(model.p_idle + model.p_kernel)
     ramp_start = start if model.ramp_mw > 0 else end  # a flat plateau is one piece with the lead
     for a, b, p in ((0, rise, idle), (rise, ramp_start, plateau), (decay, t.size, idle)):
@@ -184,12 +186,14 @@ def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out:
     # the ramp and the decay steps, a block at a time, so no temporary is as long as the grid
     for a in range(ramp_start, end, _BLOCK):
         b = min(a + _BLOCK, end)
-        frac = np.clip((t[a:b] - exec_start) / model.kernel_duration, 0.0, 1.0)
+        # no time here is before exec_start, so frac is clipped only at 1
+        frac = np.minimum((t[a:b] - exec_start) / model.kernel_duration, 1.0)
         out[a:b] += plateau + model.ramp_mw * frac
     height = model.p_kernel + model.ramp_mw
     for a in range(end, decay, _BLOCK):
         b = min(a + _BLOCK, decay)
-        k = np.clip(np.ceil((t[a:b] - exec_end) / model.decay_step_duration), 1, model.decay_steps)
+        k = np.maximum(np.ceil((t[a:b] - exec_end) / model.decay_step_duration), 1.0)
+        k = np.minimum(k, model.decay_steps)
         out[a:b] += idle + height * (1.0 - k / (model.decay_steps + 1))
     return out
 

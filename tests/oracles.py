@@ -1,8 +1,10 @@
 """Reference computations the tests check the package against."""
 
+import re
+
 import numpy as np
 
-from instrujoule import EmptyWindow, KernelWindow, PowerTrace
+from instrujoule import EmptyWindow, KernelWindow, ParseFailure, PowerTrace
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
@@ -22,3 +24,51 @@ def integrate_energy_trapezoid(trace: PowerTrace, window: KernelWindow) -> float
     if np.count_nonzero(mask) == 1:
         return 0.0
     return float(_trapezoid(trace.powers[mask], trace.times[mask]))
+
+
+# The validator's per-line scan as it was before the one-regex scan, which
+# tests pin to it: the same instructions, line numbers and errors on any text.
+_INSTR_RE = re.compile(r"^\s*(?:@%p\d+\s+)?([a-z][\w.]*)\s+(.*);\s*$")
+_LABEL_RE = re.compile(r"^\s*(\$?\w+):\s*$")
+_RET_RE = re.compile(r"^\s*ret\s*;")
+
+
+def scan_kernel_by_line(lines: list[str]):
+    """Line-level structural scan: (preamble, body, postlude) instruction lists.
+
+    Each instruction is a (mnemonic, operand text, line number) tuple. The
+    body lies between the loop label and its branch back, which neither
+    list holds. Raises ParseFailure when the text lacks the basic kernel
+    shape (entry directive, loop label, predicate-guarded back branch,
+    return).
+    """
+    has_entry = has_ret = False
+    preamble, body, postlude = [], [], []
+    section = preamble
+    for no, raw in enumerate(lines, start=1):
+        line = raw.split("//", 1)[0]
+        if not line.strip():
+            continue
+        has_entry = has_entry or ".entry" in line
+        if section is preamble and (m := _LABEL_RE.match(line)):
+            label = m.group(1)
+            branch = re.compile(rf"^\s*@%p\d+\s+bra\s+{re.escape(label)}\s*;\s*$")
+            section = body
+            continue
+        if section is body and branch.match(line):
+            section = postlude
+            continue
+        if section is postlude:
+            has_ret = has_ret or _RET_RE.match(line) is not None
+        if m := _INSTR_RE.match(line):
+            section.append((m.group(1), m.group(2), no))
+
+    if not has_entry:
+        raise ParseFailure("no .entry directive found")
+    if section is preamble:
+        raise ParseFailure("no loop label found")
+    if section is body:
+        raise ParseFailure(f"no predicate-guarded branch back to {label}")
+    if not has_ret:
+        raise ParseFailure("no ret after the loop")
+    return preamble, body, postlude

@@ -264,6 +264,16 @@ class TestMeasure:
         assert code == 2
         assert "workload duration must be > 0" in err
 
+    @pytest.mark.parametrize("duration", ["abc", "", "1,5"])
+    def test_unparsable_workload_duration_is_a_usage_error(self, capsys, tmp_path, duration):
+        model_path = write_model(tmp_path)
+        code, out, err = run_cli(
+            capsys, "measure", "--strategy", "mtsm",
+            "--provider", f"synth:{model_path}", "--workload", f"synth:{duration}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: workload duration must be a number, got {duration!r}\n"
+
     @pytest.mark.parametrize("strategy, step", [("mtsm", "0.0005"), ("papi", "1"), ("sma", "1")])
     def test_replay_stamped_at_1e20_s_exits_1(self, capsys, tmp_path, strategy, step):
         # no step moves a clock there: the run fails instead of reporting 0 mJ over 0 s
@@ -432,6 +442,25 @@ class TestAnalyzeHw:
         assert code == 2
         assert out == ""
         assert err == "usage error: --window must be '<start>,<end>'\n"
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ("a,b", "window start must be a number, got 'a'"),
+            ("0,b", "window end must be a number, got 'b'"),
+            ("0, 2s", "window end must be a number, got ' 2s'"),
+            (",1", "window start must be a number, got ''"),
+        ],
+    )
+    def test_unparsable_window_is_a_usage_error(self, capsys, capture_path, tmp_path, bounds, message):
+        out_path = tmp_path / "energy.json"
+        code, out, err = run_cli(
+            capsys, "analyze-hw", "--capture", str(capture_path),
+            "--window", bounds, "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {message}\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "bounds, message",

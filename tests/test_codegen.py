@@ -20,8 +20,10 @@ from instrujoule import (
     list_catalog,
     validate_kernel,
 )
+from instrujoule import codegen
 from instrujoule.catalog import Category
 from instrujoule.codegen import CheckResult
+from oracles import scan_kernel_by_line
 
 DIV_U32 = find_instruction("div", "u32")
 
@@ -372,3 +374,127 @@ class TestValidatorMessages:
             text = text.replace(f", {kernel.iterations};", f", {literal};")
         hand_built = dataclasses.replace(kernel, ptx_text=text, iterations=iterations)
         assert validate_kernel(hand_built).check("loop_bound") == CheckResult("loop_bound", passed, detail)
+
+
+def _both_scans(text: str):
+    """The one-regex scan and the per-line oracle on ``text``: each its three
+    (mnemonic, operands, line number) lists, or its ParseFailure."""
+
+    def regex_scan():
+        scanned, sections = codegen._scan_kernel(text)
+        return tuple(
+            [(mn, operands, codegen._line_no(scanned, offset)) for mn, operands, offset in section]
+            for section in sections
+        )
+
+    outcomes = []
+    for scan in (regex_scan, lambda: scan_kernel_by_line(text.splitlines())):
+        try:
+            outcomes.append(scan())
+        except ParseFailure as exc:
+            outcomes.append(f"ParseFailure: {exc}")
+    return outcomes
+
+
+def _div_text(old: str, new: str) -> str:
+    text = generate_kernel(DIV_U32, KernelVariant.TOTAL).ptx_text
+    assert old in text
+    return text.replace(old, new)
+
+
+# every line break str.splitlines knows but \n
+BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# whitespace to \s and str.strip alike, none of them a line break
+SPACES = ["\x1f", "\xa0", "\u2003", "\u3000"]
+
+HAND_TEXTS = {
+    **{f"break {ch!r}": _div_text("\n", ch) for ch in BREAKS},
+    "mixed breaks": _div_text("\n", "\r\n").replace("\r\n\r\n", "\n\x85", 1).replace("\r\n", "\u2028", 5),
+    "carriage return inside a line": _div_text("\tret;", "\tret\r;"),
+    **{f"space {ch!r}": _div_text("\t", ch) for ch in SPACES},
+    "spaces around the branch": _div_text("\t@%p1 bra \tBB0_1;", "\xa0@%p1\u2003bra\x1fBB0_1\u3000;\xa0"),
+    "non-ASCII label": _div_text("BB0_1", "BBé_1"),
+    "non-ASCII digit in the guard": _div_text("@%p1", "@%p\u0661"),
+    "non-ASCII comment": _div_text("// instrujoule", "// 5 µs/div — instrujoule"),
+    "non-ASCII operand": _div_text("div.u32 \t%r7, %r6", "div.u32 \t%r7é, %r6"),
+    "ret only in a comment": _div_text("\tret;", "\t// ret;"),
+    "ret after a comment marker": _div_text("\tret;", "\tst.global.u32 \t[%rd2], %r1; // ret;"),
+    "label only in a comment": _div_text("BB0_1:", "// BB0_1:"),
+    "label in a comment before it": _div_text("BB0_1:", "// BB0_9:\nBB0_1:"),
+    "entry only in a comment": _div_text(".visible .entry", ".visible // .entry"),
+    "entry in a trailing comment": _div_text(".visible .entry bench_div_u32(", ".visible bench_div_u32( // .entry"),
+    "second label after the loop": _div_text("\n\tst.global.u32 \t[%rd2], %r", "\nBB0_2:\n\tst.global.u32 \t[%rd2], %r"),
+    "second label in the body": _div_text("\tld.global", "BB0_2:\n\tld.global"),
+    "label with a dollar": _div_text("BB0_1", "$L__BB0_1"),
+    "branch to another label": _div_text("\tld.global", "\t@%p1 bra \tBB0_9;\n\tld.global"),
+    "branch only to another label": _div_text("bra \tBB0_1;", "bra \tBB0_9;"),
+    "bra.uni back to the label": _div_text("\t@%p1 bra \tBB0_1;", "\tbra.uni \tBB0_1;"),
+    "bra.uni and the branch back": _div_text("\t@%p1 bra", "\tbra.uni \tBB0_1;\n\t@%p1 bra"),
+    "unguarded branch back": _div_text("\t@%p1 bra", "\tbra"),
+    "branch with a second statement": _div_text("bra \tBB0_1;", "bra \tBB0_1; ;"),
+    "branch back before the label": _div_text("BB0_1:", "\t@%p1 bra \tBB0_1;\nBB0_1:"),
+    "second branch back": _div_text("\n\tst.global.u32 \t[%rd2], %r", "\n\t@%p1 bra \tBB0_1;\n\tst.global.u32 \t[%rd2], %r"),
+    "ret only before the loop": _div_text("\tret;", "").replace("BB0_1:", "\tret;\nBB0_1:"),
+    "ret only in the body": _div_text("\tret;", "").replace("\tld.global", "\tret;\n\tld.global"),
+    "ret with a space": _div_text("\tret;", "\tret ;"),
+    "ret with text after it": _div_text("\tret;", "\tret; exit"),
+    "instruction without a space": _div_text("\tret;", "\tret;\n\tst.global.u32[%rd2];"),
+    "no trailing newline": _div_text("}\n", "}"),
+    "empty": "",
+    "blank lines only": "\n \r\n\t\x85",
+}
+
+
+class TestScanOracle:
+    """The one-regex scan against the per-line scan it replaced: the same
+    instructions, line numbers and errors on every text."""
+
+    def test_catalog_kernels(self):
+        for spec in list_catalog():
+            for variant in KernelVariant:
+                for iters, unroll in ((1_000_000, 5), (1, 1), (7, 9)):
+                    new, old = _both_scans(generate_kernel(spec, variant, iters, unroll).ptx_text)
+                    assert new == old
+
+    def test_edited_kernels(self):
+        compared = 0
+        for opcode, type_ in EDITED:
+            for variant in KernelVariant:
+                kernel = generate_kernel(find_instruction(opcode, type_), variant)
+                for _, lines in _edits(kernel):
+                    new, old = _both_scans("\n".join(lines) + "\n")
+                    assert new == old
+                    compared += 1
+        assert compared == 1418
+
+    @pytest.mark.parametrize("name", list(HAND_TEXTS))
+    def test_hand_built_texts(self, name):
+        new, old = _both_scans(HAND_TEXTS[name])
+        assert new == old
+
+    def test_hand_built_texts_reach_every_outcome(self):
+        outcomes = [str(_both_scans(text)[1]) for text in HAND_TEXTS.values()]
+        for message in (
+            "no .entry directive found",
+            "no loop label found",
+            "no predicate-guarded branch back to",
+            "no ret after the loop",
+        ):
+            assert any(outcome.startswith(f"ParseFailure: {message}") for outcome in outcomes)
+        assert any(not outcome.startswith("ParseFailure") for outcome in outcomes)
+
+    def test_random_splices(self):
+        # pieces of kernel syntax, line breaks and spaces spliced in at random places
+        pieces = BREAKS + SPACES + [
+            "\n", " ", ";", ":", ",", "//", "@%p1 ", "bra ", "bra.uni ", "ret", ".entry",
+            "BB0_1", "BB0_1:", "%r9", "é", "\u0661",
+        ]
+        rng = np.random.default_rng(5)
+        base = generate_kernel(find_instruction("mad", "f32"), KernelVariant.TOTAL).ptx_text
+        for _ in range(400):
+            text = base
+            for _ in range(int(rng.integers(1, 6))):
+                at = int(rng.integers(len(text) + 1))
+                text = text[:at] + pieces[int(rng.integers(len(pieces)))] + text[at:]
+            new, old = _both_scans(text)
+            assert new == old, repr(text)

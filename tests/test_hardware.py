@@ -280,6 +280,14 @@ class TestTimestampsMatchTraces:
             ([0.0, 1.0, 1.0], "timestamps not strictly increasing at index 2"),
             ([0.0, 2.0, 1.0, 3.0], "timestamps not strictly increasing at index 2"),
             ([3.0, 1.0], "timestamps not strictly increasing at index 1"),
+            # a non-finite time is named before an order fault around it
+            ([0.0, 2.0, float("nan"), 1.0], "non-finite timestamp"),
+            ([0.0, float("nan"), 0.0], "non-finite timestamp"),
+            ([-float("inf"), 0.0, 1.0], "non-finite timestamp"),
+            ([-float("inf"), -float("inf")], "non-finite timestamp"),
+            ([1.0, 0.0, float("inf")], "non-finite timestamp"),
+            ([float("inf"), 0.0], "non-finite timestamp"),
+            ([float("nan")], "non-finite timestamp"),
         ],
     )
     def test_same_message_own_error_class(self, times, message):
@@ -292,6 +300,47 @@ class TestTimestampsMatchTraces:
         assert type(capture_error.value) is MalformedCapture
         assert str(trace_error.value) == str(capture_error.value) == message
 
+
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestCheckPrecedence:
+    """Times and powers are checked in one pass each, and the full checks run
+    only to pick the message, so edge values keep their outcome."""
+
+    @pytest.mark.parametrize("t", [0.0, -1e300, 5e-324])
+    def test_one_sample_accepted(self, t):
+        assert len(PowerTrace([t], [1.0])) == 1
+        assert len(HwCapture([t], dict.fromkeys(CHANNELS, [1.0]), 0.1)) == 1
+
+    @pytest.mark.parametrize("powers", [[-0.0], [-0.0, 0.0], [0.0, -0.0]])
+    def test_negative_zero_power_accepted(self, powers):
+        trace = PowerTrace(np.arange(len(powers)), powers)
+        assert np.array_equal(np.signbit(trace.powers), np.signbit(powers))
+
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ([-1.0, NAN], "non-finite power sample"),
+            ([NAN, -1.0], "non-finite power sample"),
+            ([-INF, 1.0], "non-finite power sample"),
+            ([-1.0, INF], "non-finite power sample"),
+            ([1.0, 2.0, -INF], "non-finite power sample"),
+            ([-1.0], "negative power sample"),
+            ([1.0, -5e-324], "negative power sample"),
+        ],
+    )
+    def test_non_finite_power_named_before_negative(self, powers, message):
+        with pytest.raises(MalformedTrace) as exc:
+            PowerTrace(np.arange(len(powers)), powers)
+        assert str(exc.value) == message
+
+    def test_time_fault_named_before_power_fault(self):
+        with pytest.raises(MalformedTrace) as exc:
+            PowerTrace([1.0, 0.0], [NAN, -1.0])
+        assert str(exc.value) == "timestamps not strictly increasing at index 1"
 
 class TestHwEnergy:
     def test_constant_135w_over_2s(self):
