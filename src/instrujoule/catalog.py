@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from ._checks import check_integer
 from .errors import UnsupportedInstruction
 
 
@@ -83,8 +84,7 @@ class InstructionSpec:
                 f"operand type {self.operand_type.value} is not valid for "
                 f"category {self.category.value}"
             )
-        if self.arity not in (1, 2, 3):
-            raise ValueError(f"unsupported arity {self.arity}")
+        check_integer("arity", self.arity, 1, 3)
 
     @property
     def display_name(self) -> str:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._checks import check_number, is_number
+from ._checks import check_number
 from .analysis import compare_strategies
 from .catalog import find_instruction, list_catalog
 from .codegen import (
@@ -233,9 +233,7 @@ def _load_energies(path: str) -> dict[str, float]:
             f"{path}: expected an EnergyResult JSON, or an object with 'energies'"
         )
     for label, value in energies.items():
-        # an int compares exactly, so one past float range fails
-        if not (is_number(value) and abs(value) <= sys.float_info.max):
-            raise LengthMismatch(f"{path}: energy of '{label}' is not a finite number")
+        check_number(f"{path}: energy of '{label}'", value, error=LengthMismatch)
     return {label: float(value) for label, value in energies.items()}
 
 

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from ._checks import is_integer
+from ._checks import check_integer
 from .catalog import InstructionSpec, OperandType, in_catalog
 from .errors import ParseFailure, UnsupportedInstruction
 
@@ -137,10 +137,8 @@ def generate_kernel(
         raise UnsupportedInstruction(
             f"{spec.opcode}.{spec.operand_type.value} is not in the benchmark catalog"
         )
-    if not (is_integer(iterations) and 1 <= iterations <= _U32_MAX):
-        raise ValueError(f"iterations must be an integer from 1 to {_U32_MAX}, got {iterations}")
-    if not (is_integer(unroll_factor) and unroll_factor >= 1):
-        raise ValueError(f"unroll_factor must be an integer >= 1, got {unroll_factor}")
+    check_integer("iterations", iterations, 1, _U32_MAX)
+    check_integer("unroll_factor", unroll_factor, 1)
     iterations, unroll_factor = int(iterations), int(unroll_factor)
 
     mnemonic = spec.ptx_mnemonic

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from ._checks import check_number, is_integer
+from ._checks import check_integer, check_number
 from .errors import EmptyWindow, MalformedTrace, ZeroInstructions
 from .trace import KernelWindow, PowerTrace
 
@@ -58,13 +58,6 @@ def instruction_energy(e_total: float, e_overhead: float, n_instructions: int) -
     A negative result (overhead exceeded total: noise swamped the signal) is
     returned as-is; callers flag it rather than clamping.
     """
-    _check_instruction_count(n_instructions)
+    check_integer("n_instructions", n_instructions, 1, sys.float_info.max, ZeroInstructions)
     return (e_total - e_overhead) / n_instructions * 1000.0
-
-
-def _check_instruction_count(n_instructions) -> None:
-    if not (is_integer(n_instructions) and 1 <= n_instructions <= sys.float_info.max):
-        raise ZeroInstructions(
-            f"n_instructions must be an integer from 1 to {sys.float_info.max:g}, got {n_instructions}"
-        )
 

@@ -14,7 +14,7 @@ class UnsupportedInstruction(InstrujouleError):
 
 
 class ParseFailure(InstrujouleError):
-    """Kernel text is not recognizable by the line-level PTX scanner."""
+    """Kernel text is not recognizable by the validator's PTX scan."""
 
 
 class MalformedTrace(InstrujouleError):

@@ -128,6 +128,8 @@ def load_hw_capture(source) -> HwCapture:
         for line_no, line in enumerate(reader.comments(), 1):
             body = line.lstrip("#").strip()
             if body.startswith("r_s_ohm:"):
+                if r_s is not None:  # keeping either would silently discard the other
+                    raise MalformedCapture("a second '# r_s_ohm:' comment", line_no)
                 payload = body[len("r_s_ohm:"):].strip()
                 try:
                     r_s = float(payload)

@@ -40,7 +40,6 @@ provider (and one clock) per measurement.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 import time
@@ -51,10 +50,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_number
+from ._checks import check_integer, check_number
 from .catalog import InstructionSpec
-from .energy import _check_instruction_count, energy_from_readings, instruction_energy
-from .errors import SamplerStalled, SamplerStartupFailure
+from .energy import energy_from_readings, instruction_energy
+from .errors import SamplerStalled, SamplerStartupFailure, ZeroInstructions
 from .providers import PowerProvider
 from .trace import KernelWindow, PowerTrace
 
@@ -83,10 +82,7 @@ class VirtualClock:
         self.read_cost = float(read_cost)
 
     def advance(self, dt: float) -> None:
-        if not dt >= 0:
-            raise ValueError("cannot advance a clock backwards")
-        if not math.isfinite(dt):
-            raise ValueError("cannot advance a clock by an infinite step")
+        check_number("clock step", dt, ">= 0")
         if dt > 0 and self.now + dt == self.now:
             raise ValueError(f"a step of {dt:g} s does not move a clock at {self.now:g} s")
         self.now += dt
@@ -532,7 +528,7 @@ def measure_instruction(
     strategy = Strategy(strategy)
     if strategy not in _RUNNERS:
         raise ValueError(f"per-instruction extraction needs papi or mtsm, not {strategy.value}")
-    _check_instruction_count(n_instructions)  # before either run, not after both
+    check_integer("n_instructions", n_instructions, 1, sys.float_info.max, ZeroInstructions)  # before either run
     clock_factory = clock_factory or VirtualClock
     runner = _RUNNERS[strategy]
     if isinstance(provider_factory, (tuple, list)):

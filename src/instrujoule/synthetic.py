@@ -25,15 +25,16 @@ powers put back in its order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._checks import check_number, is_integer, is_number
+from ._checks import check_integer, check_number
 from .errors import InvalidModel
 from .trace import KernelWindow, PowerTrace
 
-# the fields that must be above zero; the others but rng_seed must be >= 0
+# the real fields that must be above zero; the others but the two integer counts must be >= 0
 _POSITIVE = ("pre_rise_lead", "kernel_duration", "decay_step_duration", "idle_lead", "idle_tail",
              "sample_rate")
 # what json.loads gives for each JSON type, named as JSON names it
@@ -70,14 +71,11 @@ class SyntheticModel:
         # getattr, not vars(self): materializing the instance dict slows every
         # later attribute read, and the per-sample profile reads the model
         for name in self.__dataclass_fields__:
-            if name != "rng_seed":
+            if name not in ("decay_steps", "rng_seed"):
                 check_number(name, getattr(self, name), "> 0" if name in _POSITIVE else ">= 0", InvalidModel)
+        check_integer("decay_steps", self.decay_steps, 0, sys.float_info.max, InvalidModel)
         # numpy takes a seed of any size, so it is not held to a float's range
-        if not (is_integer(self.rng_seed) and self.rng_seed >= 0):
-            kind = "non-negative integer" if is_number(self.rng_seed) else "number"
-            raise InvalidModel(f"rng_seed must be a {kind}, got {self.rng_seed!r}")
-        if not is_integer(self.decay_steps):
-            raise InvalidModel(f"decay_steps must be an integer, got {self.decay_steps!r}")
+        check_integer("rng_seed", self.rng_seed, 0, error=InvalidModel)
 
     def window_for_launch(self, t_launch: float) -> KernelWindow:
         start = t_launch + self.pre_rise_lead

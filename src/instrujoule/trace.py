@@ -121,10 +121,14 @@ class PowerTrace:
 
 
 def save_trace(trace: PowerTrace, sink) -> None:
-    """Write a trace as CSV to ``sink`` (path, text stream, or binary stream)."""
+    """Write a trace as CSV to ``sink`` (path, text stream, or binary stream). Raises
+    MalformedTrace before it writes if window bounds or neighbouring times print alike."""
     head = []
     if trace.window is not None:
-        head.append("# window: %.9g,%.9g" % (trace.window.start, trace.window.end))
+        start, end = "%.9g" % trace.window.start, "%.9g" % trace.window.end
+        if start == end:
+            raise MalformedTrace(f"window start and end both print as {start}; the CSV would not read back")
+        head.append(f"# window: {start},{end}")
     _csv.write(sink, head + [_HEADER], [trace.times, trace.powers], MalformedTrace)
 
 

@@ -78,7 +78,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("arity", [0, 4])
     def test_unsupported_arity(self, arity):
-        with pytest.raises(ValueError, match=f"^unsupported arity {arity}$"):
+        bound = ">= 1" if arity < 1 else "<= 3"
+        with pytest.raises(ValueError, match=f"^arity must be {bound}, got {arity}$"):
             InstructionSpec(
                 opcode="add",
                 operand_type=OperandType.U32,

@@ -64,7 +64,7 @@ class TestGen:
     def test_loop_count_past_u32_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "gen", "--inst", "add.u32", "--iters", "4294967296")
         assert (code, out) == (1, "")
-        assert err == "error: ValueError: iterations must be an integer from 1 to 4294967295, got 4294967296\n"
+        assert err == "error: ValueError: iterations must be <= 4294967295, got 4294967296\n"
 
     def test_malformed_inst_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "gen", "--inst", "div")
@@ -126,9 +126,13 @@ class TestMeasure:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("rng_seed", 1.5, "rng_seed must be a non-negative integer, got 1.5"),
-            ("rng_seed", -1, "rng_seed must be a non-negative integer, got -1"),
-            ("rng_seed", True, "rng_seed must be a number, got True"),
+            # the ids keep the names these cases had before the integer fields shared one rule
+            pytest.param("rng_seed", 1.5, "rng_seed must be an integer, got 1.5",
+                         id="rng_seed-1.5-rng_seed must be a non-negative integer, got 1.5"),
+            pytest.param("rng_seed", -1, "rng_seed must be >= 0, got -1",
+                         id="rng_seed--1-rng_seed must be a non-negative integer, got -1"),
+            pytest.param("rng_seed", True, "rng_seed must be an integer, got True",
+                         id="rng_seed-True-rng_seed must be a number, got True"),
             ("p_idle", "5", "p_idle must be a number, got '5'"),
             pytest.param("p_idle", 10**400, "p_idle is too large for a float", id="p_idle-401-digits"),
             ("decay_steps", 2.5, "decay_steps must be an integer, got 2.5"),
@@ -570,26 +574,28 @@ class TestCompare:
         )
 
     @pytest.mark.parametrize(
-        "payload, label",
+        "payload, label, problem",
         [
-            ({"energies": {"k": None}}, "k"),
-            ({"energies": {"k": float("nan")}}, "k"),  # written as NaN
-            ({"energies": {"k": float("inf")}}, "k"),  # written as Infinity
-            ({"energies": {"k": True}}, "k"),
-            ({"energies": {"k": "5.0"}}, "k"),
-            ({"energies": {"k": 10**400}}, "k"),
-            ({"energy_mj": {"x": 1}}, "kernel"),
-            ({"label": "k", "energy_mj": float("-inf")}, "k"),
+            ({"energies": {"k": None}}, "k", "must be a number, got None"),
+            ({"energies": {"k": float("nan")}}, "k", "must be finite, got nan"),  # written as NaN
+            ({"energies": {"k": float("inf")}}, "k", "must be finite, got inf"),  # written as Infinity
+            ({"energies": {"k": True}}, "k", "must be a number, got True"),
+            ({"energies": {"k": "5.0"}}, "k", "must be a number, got '5.0'"),
+            ({"energies": {"k": 10**400}}, "k", "is too large for a float"),
+            ({"energy_mj": {"x": 1}}, "kernel", "must be a number, got {'x': 1}"),
+            ({"label": "k", "energy_mj": float("-inf")}, "k", "must be finite, got -inf"),
         ],
+        # the ids these cases had before the message named the check that failed
+        ids=[f"payload{i}-k" for i in range(6)] + ["payload6-kernel", "payload7-k"],
     )
-    def test_energy_that_is_not_a_finite_number_exits_1(self, capsys, tmp_path, payload, label):
+    def test_energy_that_is_not_a_finite_number_exits_1(self, capsys, tmp_path, payload, label, problem):
         pred = tmp_path / "pred.json"
         ref = tmp_path / "ref.json"
         pred.write_text(json.dumps(payload))
         ref.write_text(json.dumps({"energies": {"k": 5}}))
         code, out, err = run_cli(capsys, "compare", "--pred", str(pred), "--ref", str(ref))
         assert (code, out) == (1, "")
-        assert err == f"error: LengthMismatch: {pred}: energy of '{label}' is not a finite number\n"
+        assert err == f"error: LengthMismatch: {pred}: energy of '{label}' {problem}\n"
 
     def test_integer_energies_compare(self, capsys, tmp_path):
         pred = tmp_path / "pred.json"

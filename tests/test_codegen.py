@@ -134,23 +134,31 @@ class TestGeneratePreconditions:
         assert f"Save the kernel text as bench_div_u32.{variant.value}.ptx." in emit_build_recipe(kernel)
 
     def test_bad_iterations(self):
-        with pytest.raises(ValueError, match="^iterations must be an integer from 1 to 4294967295, got 0$"):
+        with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=0)
 
-    @pytest.mark.parametrize("iterations", [-7, 2**32, 2.5, True, np.float64(3.0), np.True_])
-    def test_iterations_the_u32_counter_cannot_hold(self, iterations):
+    @pytest.mark.parametrize("iterations, problem", [
+        (-7, "must be >= 1, got -7"),
+        (2**32, "must be <= 4294967295, got 4294967296"),
+        (2.5, "must be an integer, got 2.5"),
+        (True, "must be an integer, got True"),
+        (np.float64(3.0), f"must be an integer, got {np.float64(3.0)!r}"),
+        (np.True_, f"must be an integer, got {np.True_!r}"),
+    ], ids=["-7", "4294967296", "2.5", "True", "3.0", "iterations5"])  # the ids from before the problem column
+    def test_iterations_the_u32_counter_cannot_hold(self, iterations, problem):
         # the counter holds 1 .. 2**32 - 1; a float or bool would be written
         # into the PTX as it prints
-        with pytest.raises(ValueError, match=f"^iterations must be an integer from 1 to 4294967295, got {iterations}$"):
+        with pytest.raises(ValueError) as exc:
             generate_kernel(DIV_U32, KernelVariant.TOTAL, iterations=iterations)
+        assert str(exc.value) == f"iterations {problem}"
 
     def test_bad_unroll(self):
-        with pytest.raises(ValueError, match="^unroll_factor must be an integer >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^unroll_factor must be >= 1, got 0$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, unroll_factor=0)
 
     @pytest.mark.parametrize("unroll", [2.5, True])
     def test_non_integer_unroll(self, unroll):
-        with pytest.raises(ValueError, match=f"^unroll_factor must be an integer >= 1, got {unroll}$"):
+        with pytest.raises(ValueError, match=f"^unroll_factor must be an integer, got {unroll}$"):
             generate_kernel(DIV_U32, KernelVariant.TOTAL, unroll_factor=unroll)
 
     @pytest.mark.parametrize("iterations", [2**32 - 1, np.uint32(2**32 - 1), np.int64(7)])

@@ -78,6 +78,11 @@ CAPTURE_ERRORS = {
     "missing shunt": (
         C.split("\n", 1)[1] + R, MissingShunt,
         "capture has no '# r_s_ohm: <value>' comment", None),
+    "second shunt": (
+        "# r_s_ohm: 0.1\n# r_s_ohm: 0.2\n" + C.split("\n", 1)[1] + R, MalformedCapture,
+        "line 2: a second '# r_s_ohm:' comment", 2),
+    "second shunt after another comment": (
+        "# r_s_ohm: 0.2\n# scope: x\n" + C + R, MalformedCapture, "line 3: a second '# r_s_ohm:' comment", 3),
     "unparsable shunt": (
         "# r_s_ohm: x\n" + C.split("\n", 1)[1] + R, MalformedCapture,
         "line 1: unparsable shunt value 'x'", 1),
@@ -116,7 +121,6 @@ CAPTURE_LOADS = {
     "header only": (C, [], [], 0.1),
     "negative channel value": (
         C + "0,-12.1,12,3.4,3.3,-10,12\n", [0.0], [[-12.1, 12.0, 3.4, 3.3, -10.0, 12.0]], 0.1),
-    "later shunt comment wins": ("# r_s_ohm: 0.2\n# scope: x\n" + C + R, [0.0], [ROW], 0.1),
 }
 
 

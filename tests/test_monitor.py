@@ -349,7 +349,7 @@ class TestNanRunParameters:
 
     def test_advance(self):
         clock = VirtualClock(start=1.0)
-        with pytest.raises(ValueError, match="cannot advance a clock backwards"):
+        with pytest.raises(ValueError, match="^clock step must be >= 0, got nan$"):
             clock.advance(float("nan"))
         assert clock.now == 1.0
 
@@ -387,7 +387,7 @@ class TestInfiniteRunParameters:
 
     def test_advance(self):
         clock = VirtualClock(start=1.0)
-        with pytest.raises(ValueError, match="cannot advance a clock by an infinite step"):
+        with pytest.raises(ValueError, match="^clock step must be finite, got inf$"):
             clock.advance(INF)
         assert clock.now == 1.0
 
@@ -423,6 +423,13 @@ class TestBoolRunParameters:
     def test_rejected(self, name, build, value):
         with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
             build(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1"])
+    def test_clock_step_rejected(self, value):
+        clock = VirtualClock(start=2.0)
+        with pytest.raises(ValueError, match=f"^clock step must be a number, got {value!r}$"):
+            clock.advance(value)
+        assert clock.now == 2.0
 
 
 RUNNERS = {"sma": run_sma, "papi": run_papi_style, "mtsm": run_mtsm}
@@ -621,7 +628,8 @@ class TestMeasureInstruction:
             calls.append(1)
             return ConstantPowerProvider(1.0)
 
-        with pytest.raises(ZeroInstructions, match="^n_instructions must be an integer from 1"):
+        problem = "an integer" if isinstance(n, float) else ">= 1"
+        with pytest.raises(ZeroInstructions, match=f"^n_instructions must be {problem}, got {n}$"):
             measure_instruction(
                 (factory, factory), TimedWorkload(20.0), TimedWorkload(20.0), n, Strategy.MTSM,
                 clock_factory=lambda: VirtualClock(read_cost=1e-4),

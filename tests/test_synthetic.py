@@ -1,6 +1,7 @@
 """Synthetic profile shape, determinism, and its ground-truth oracle."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ NON_SEED_FIELDS = [
     "p_idle", "p_kernel", "pre_rise_lead", "kernel_duration", "decay_steps",
     "decay_step_duration", "noise_stddev", "sample_rate", "idle_lead", "idle_tail", "ramp_mw",
 ]
+# the ones of them that count, and so are checked as integers
+INTEGER_FIELDS = ["decay_steps"]
 
 
 class TestModelValidation:
@@ -56,7 +59,8 @@ class TestModelValidation:
             pytest.param("p_kernel", "p_kernel must be >= 0, got nan", id="p_kernel-power levels must be >= 0"),
             pytest.param("ramp_mw", "ramp_mw must be >= 0, got nan", id="ramp_mw-power levels must be >= 0"),
             ("kernel_duration", "kernel_duration must be > 0, got nan"),
-            ("decay_steps", "decay_steps must be >= 0, got nan"),
+            pytest.param("decay_steps", "decay_steps must be an integer, got nan",
+                         id="decay_steps-decay_steps must be >= 0, got nan"),
         ],
     )
     def test_nan_rejected(self, field, message):
@@ -70,17 +74,22 @@ class TestModelValidation:
         # infinity passes every `> 0` and `>= 0` check, so finiteness is its own
         with pytest.raises(InvalidModel) as exc:
             SyntheticModel(**{field: float("inf")})
-        assert str(exc.value) == f"{field} must be finite, got inf"
+        problem = "an integer" if field in INTEGER_FIELDS else "finite"
+        assert str(exc.value) == f"{field} must be {problem}, got inf"
 
     @pytest.mark.parametrize(
         "seed, message",
         [
-            (1.5, "rng_seed must be a non-negative integer, got 1.5"),
-            (1.0, "rng_seed must be a non-negative integer, got 1.0"),
-            (float("inf"), "rng_seed must be a non-negative integer, got inf"),
-            (-1, "rng_seed must be a non-negative integer, got -1"),
-            (True, "rng_seed must be a number, got True"),
-            ("3", "rng_seed must be a number, got '3'"),
+            # the ids keep the names these cases had before the integer fields shared one rule
+            pytest.param(1.5, "rng_seed must be an integer, got 1.5",
+                         id="1.5-rng_seed must be a non-negative integer, got 1.5"),
+            pytest.param(1.0, "rng_seed must be an integer, got 1.0",
+                         id="1.0-rng_seed must be a non-negative integer, got 1.0"),
+            pytest.param(float("inf"), "rng_seed must be an integer, got inf",
+                         id="inf-rng_seed must be a non-negative integer, got inf"),
+            pytest.param(-1, "rng_seed must be >= 0, got -1", id="-1-rng_seed must be a non-negative integer, got -1"),
+            pytest.param(True, "rng_seed must be an integer, got True", id="True-rng_seed must be a number, got True"),
+            pytest.param("3", "rng_seed must be an integer, got '3'", id="3-rng_seed must be a number, got '3'"),
         ],
     )
     def test_bad_seed_rejected(self, seed, message):
@@ -94,14 +103,18 @@ class TestModelValidation:
         # a string would meet a bare TypeError in the range checks, and a bool pass them
         with pytest.raises(InvalidModel) as exc:
             SyntheticModel(**{field: value})
-        assert str(exc.value) == f"{field} must be a number, got {value!r}"
+        kind = "an integer" if field in INTEGER_FIELDS else "a number"
+        assert str(exc.value) == f"{field} must be {kind}, got {value!r}"
 
     @pytest.mark.parametrize("field", NON_SEED_FIELDS)
     def test_int_too_large_for_a_float_rejected(self, field):
         # math.isfinite raises OverflowError on such an int
         with pytest.raises(InvalidModel) as exc:
             SyntheticModel(**{field: 10**400})
-        assert str(exc.value) == f"{field} is too large for a float"
+        if field in INTEGER_FIELDS:  # an integer count is checked as an integer, not as a float
+            assert str(exc.value) == f"{field} must be <= {sys.float_info.max}, got {10**400}"
+        else:
+            assert str(exc.value) == f"{field} is too large for a float"
 
     def test_seed_of_any_size_accepted(self):
         # np.random.default_rng takes any non-negative int

@@ -238,3 +238,20 @@ class TestClockOrigin:
             assert str(exc.value) == f"times at rows 0 and 1 both print as {origin:.9g}; the CSV would not read back"
         assert sink.getvalue() == ""
         assert not path.exists()
+
+    def test_window_that_would_not_reload_is_refused(self, tmp_path):
+        # both bounds print as 1, and a window must end after it starts
+        trace = PowerTrace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], KernelWindow(1.0000000001, 1.0000000004))
+        path, sink = tmp_path / "t.csv", io.StringIO()
+        for target in (sink, path):
+            with pytest.raises(MalformedTrace) as exc:
+                save_trace(trace, target)
+            assert str(exc.value) == "window start and end both print as 1; the CSV would not read back"
+        assert sink.getvalue() == ""
+        assert not path.exists()
+
+    def test_window_a_print_apart_reloads(self):
+        trace = PowerTrace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], KernelWindow(1.0, 1.00000001))
+        sink = io.StringIO()
+        save_trace(trace, sink)
+        assert load_trace(sink.getvalue().encode()).window == KernelWindow(1.0, 1.00000001)
