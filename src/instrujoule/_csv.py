@@ -2,23 +2,26 @@
 
 Both formats: ``#`` comments, a header, then rows of ``%.9g`` floats; callers
 own their comments, header, width and row rule. Neither direction holds a
-whole-file copy of the text. Writes stream in chunks of 8192 rows. A chunk of
-at least 384 values is formatted by one numpy pass that writes exactly the
-bytes of ``'%.9g' % value``: a value whose nine-digit rounding is certain and
-prints in fixed notation gets its digits from integer arithmetic and a
-4-digit table, and a row holding any other value (exponent notation,
-non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9) is
-formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
-than a quarter of the rows hold such a value, are formatted by ``%`` alone.
-A write whose neighbouring times would print alike raises before it starts.
+whole-file copy of the text: both work 2048 rows at a time, so a write's peak
+memory is one chunk's temporaries whatever its length. A write chunk of at
+least 384 values is formatted by one numpy pass that writes exactly the bytes
+of ``'%.9g' % value``. A value whose nine-digit rounding is certain and that
+prints in fixed notation gets a 32-byte field: its nine digits twice, from
+integer arithmetic and a 4-digit table, beside a minus sign, a zero, the point
+and three zeros. One mask row per sign, exponent and count of digits shown
+keeps the bytes of its text. A row holding any other value (exponent
+notation, non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9)
+is formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
+than a quarter of the rows hold such a value, are formatted by ``%`` alone. A
+write whose neighbouring times would print alike raises before it starts.
 
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
 counts its lines and checks that the text is plain: UTF-8 whose lines and
-fields the scan and numpy split alike. Numpy only parses an ASCII body, 2048
-lines at a time into one ``(width, n)`` array, and the trace or capture built
-from it checks the rows once; where either fails, a line-by-line scan accepts
-exactly what ``float()`` accepts and reports the offending line.
+fields the scan and numpy split alike. Numpy only parses an ASCII body, a
+chunk of lines at a time into one ``(width, n)`` array, and the trace or
+capture built from it checks the rows once; where either fails, a line-by-line
+scan accepts exactly what ``float()`` accepts and reports the offending line.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
-_CHUNK = 8192  # rows formatted and written per batch, bounding the text alive at once
+# Rows per chunk, formatted and written at once or parsed by one np.loadtxt
+# call. A loadtxt call costs about 10 us; larger chunks raise the load's peak
+# (a 50k-row capture: 2.93 MB at 1024 rows, 3.06 at 2048, 3.31 at 4096,
+# against 2.80 MB of arrays) and do not load faster. A 100k-row capture saves
+# in 76 ms at 2048 rows and 88 ms at 8192, a 200k-row trace in 48 and 44 ms.
+_ROWS = 2048
 # Chunks of fewer values are formatted value by value: the vector pass costs
 # 60-80 us a chunk whatever its size, which it wins back only from about 400
 # values on (2 and 7 columns alike, on a 2-vCPU x86-64 host).
@@ -41,37 +49,47 @@ _VECTOR_MIN = 384
 # np.loadtxt strips from a field and float() does not
 _NOT_PLAIN = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _BLOCK = 1 << 15  # bytes per read of a source's text
-# Lines parsed per np.loadtxt call. Each call costs about 10 us; larger chunks
-# raise the load's peak (a 50k-row capture: 2.93 MB at 1024 rows, 3.06 at
-# 2048, 3.31 at 4096, against 2.80 MB of arrays) and do not load faster.
-_READ_ROWS = 2048
 
-# 0000..9999 as four ASCII digits in one word, and the trailing zeros of each (4 for 0000)
+# 0000..9999 as four ASCII digits in one word
 _DIGITS4 = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
 _DIGITS4 = np.ascontiguousarray(_DIGITS4).view(np.uint32).reshape(-1)
-_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5))
 _POW10 = 10.0 ** np.arange(13)  # exact doubles
-_IPOW10 = 10 ** np.arange(13, dtype=np.int64)
-_DOT = np.frombuffer(b".\0\0\0", np.uint32)[0]
 
 
-def _field_masks() -> np.ndarray:
-    # A value's 32-byte field: bytes 0-11 the integer part right-aligned (at
-    # most nine digits, from byte 3; a sign overwrites the byte before the
-    # first digit shown), 12 the point, 16-27 twelve fraction digits, 31 the
-    # separator. Row [start * 13 + fd] keeps bytes start..11, the point and
-    # fd fraction digits when fd > 0, and the separator; start 0 keeps none.
-    start, fd, byte = np.ogrid[:12, :13, :32]
+def _shown(width: int, first: int) -> np.ndarray:
+    """The digits shown by each block of ``width`` of the nine digits, from
+    digit ``first`` on: the place of its last nonzero digit, 0 if none."""
+    digits = np.indices((10,) * width, dtype=np.uint8).reshape(width, -1)
+    places = np.arange(first, first + width, dtype=np.uint8)[:, None]
+    return (places * (digits > 0)).max(axis=0)
+
+
+_SHOWN_HI, _SHOWN_LO = _shown(4, 1), _shown(5, 5)
+# A value's 32-byte field: "-0" at bytes 2-3, its nine digits at 4-12 and
+# again at 20-28, ".000" at 13-16 and the separator at 31
+_FIELD = np.frombuffer(b"\0\0-0" + bytes(9) + b".000" + bytes(15), np.uint8)
+
+
+def _field_masks() -> tuple[np.ndarray, np.ndarray]:
+    # Row (13 * neg + e + 4) * 10 + p keeps the text of a value of sign neg,
+    # exponent e and p digits shown: the sign, the integer digits (or "0"
+    # below 1), and when p > e + 1 the point, any zeros after it and the
+    # fraction digits. The last row keeps nothing. Also each row's length.
+    neg, e, p, byte = np.ogrid[:2, -4:9, :10, :32]
     keep = (
-        (byte >= start) & (byte < 12)
-        | (byte == 12) & (fd > 0)
-        | (byte >= 16) & (byte < 16 + fd)
+        (byte == 2) & (neg == 1)
+        | (byte == 3) & (e < 0)
+        | (byte >= 4) & (byte <= 4 + e)
+        | (byte == 13) & (p > e + 1)
+        | (byte >= 14) & (byte < 13 - e)
+        | (byte >= 21 + np.maximum(e, -1)) & (byte < 20 + p)
         | (byte == 31)
     )
-    return (keep & (start > 0)).reshape(-1).view("V32")
+    keep = np.concatenate([keep.reshape(-1, 32), np.zeros((1, 32), bool)])
+    return keep.view("V32").reshape(-1), keep.sum(axis=1)
 
 
-_FIELD_MASKS = _field_masks()
+_FIELD_MASKS, _FIELD_LENGTHS = _field_masks()
 
 
 def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,68 +111,37 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
     """``block``'s rows as ``fmt % row`` lines, each ended by "\n"."""
     rows, k = block.shape
     x = block.reshape(-1)
-    # every array of the chunk is freed once spent: kept to the end, about 20
-    # of them nearly double the write's peak memory
     e, r, ok = _round9(x)
     row_ok = ok.reshape(rows, k).all(axis=1)
     if 4 * np.count_nonzero(row_ok) < 3 * rows:
         # splicing in this many rows costs more than the rest of the pass
         # saves (break-even at 30-50% of the rows, for 7 down to 1 columns)
         return _format_each(block.T, fmt)
-    # the nine digits r, split at the point into an integer part and twelve fraction digits
-    r = np.where(ok, r, 0).astype(np.int64)
-    del ok
-    d = 8 - e
-    scale = _IPOW10[d]
-    whole = r // scale
-    frac = (r - whole * scale) * _IPOW10[12 - d]
-    del r, d, scale
-    # Digit words that no value of the block shows are neither computed nor
-    # written, as the mask drops them: the integer part's first two words show
-    # only for values of 10**8 and 10**4 or more, and fraction digits 9-12
-    # only below 1 (a value with exponent e has at most 8 - e fraction digits,
-    # so from e = 0 on f2 is 0).
-    top, bottom = e.max(), e.min()
-    f0, f1 = frac // 100_000_000, frac // 10_000 % 10_000
-    f2 = frac % 10_000 if bottom < 0 else 0
-    del frac
-    words = np.empty((x.size, 8), dtype=np.uint32)
-    if top >= 8:
-        words[:, 0] = _DIGITS4[whole // 100_000_000]
-    if top >= 4:
-        words[:, 1] = _DIGITS4[whole // 10_000 % 10_000]
-    words[:, 2] = _DIGITS4[whole % 10_000]
-    del whole
-    words[:, 3] = _DOT
-    words[:, 4] = _DIGITS4[f0]
-    words[:, 5] = _DIGITS4[f1]
-    if bottom < 0:
-        words[:, 6] = _DIGITS4[f2]
-    seps = ("\0\0\0" + delimiter) * (k - 1) + "\0\0\0\n"
-    words.reshape(rows, k, 8)[:, :, 7] = np.frombuffer(seps.encode("ascii"), np.uint32)
-    # fraction digits left once %g strips trailing zeros
-    tz = _TRAILING_ZEROS4
-    fd = 12 - tz[f2] - (f2 == 0) * (tz[f1] + (f1 == 0) * tz[f0])
-    del f0, f1, f2
-    neg = np.signbit(x)
-    start = 11 - np.maximum(e, 0) - neg
-    del e
-    if neg.any():
-        at = np.flatnonzero(neg)
-        words.view(np.uint8).reshape(-1)[at * 32 + start[at]] = ord("-")
-    del neg
-    start.reshape(rows, k)[~row_ok] = 0
-    keep = _FIELD_MASKS[start * 13 + fd].view(bool)
-    text = words.view(np.uint8).reshape(-1)[keep].tobytes().decode("ascii")
-    del words, keep
+    # the nine digits as their first four, the next four and the last
+    r = np.where(ok, r, 0).astype(np.uint32)
+    hi = r // np.uint32(100_000)
+    lo = r - hi * np.uint32(100_000)
+    mid = lo // np.uint32(10)
+    last = lo - mid * np.uint32(10) + np.uint32(ord("0"))
+    row_fields = np.tile(_FIELD, (k, 1))
+    row_fields[:, 31] = np.frombuffer((delimiter * (k - 1) + "\n").encode("ascii"), np.uint8)
+    fields = np.tile(row_fields, (rows, 1))
+    words = fields.view(np.uint32)
+    words[:, 1] = words[:, 5] = _DIGITS4[hi]
+    words[:, 2] = words[:, 6] = _DIGITS4[mid]
+    fields[:, 12] = fields[:, 28] = last
+    # a value's mask row; the digits shown are the place of r's last nonzero digit
+    mask_row = (13 * np.signbit(x) + e + 4) * 10 + np.maximum(_SHOWN_HI[hi], _SHOWN_LO[lo])
+    mask_row.reshape(rows, k)[~row_ok] = -1  # the last row, which keeps nothing
+    text = fields.reshape(-1)[_FIELD_MASKS[mask_row].view(bool)].tobytes().decode("ascii")
     if row_ok.all():
         return text
     bad = np.flatnonzero(~row_ok)
-    lengths = np.where(start > 0, 13 - start + (fd > 0) + fd, 0)
+    lengths = _FIELD_LENGTHS[mask_row]
     offsets = (np.cumsum(lengths) - lengths)[bad * k].tolist()
     pieces, done = [], 0
-    for at, row in zip(offsets, block[bad].tolist()):
-        pieces += [text[done:at], fmt % tuple(row), "\n"]
+    for at, values in zip(offsets, block[bad].tolist()):
+        pieces += [text[done:at], fmt % tuple(values), "\n"]
         done = at
     pieces.append(text[done:])
     return "".join(pieces)
@@ -165,12 +152,12 @@ def _format_each(columns, fmt: str) -> str:
 
 
 def format_rows(columns, delimiter: str = ","):
-    """Yield one text chunk per 8192 rows of ``columns``: each row's values
+    """Yield one text chunk per 2048 rows of ``columns``: each row's values
     as ``%.9g``, joined by ``delimiter`` (one ASCII character) and ended by
-    "\n"."""
+    "\n". A chunk of at least 384 values takes the vector pass."""
     fmt = delimiter.join(["%.9g"] * len(columns))
-    for i in range(0, len(columns[0]), _CHUNK):
-        chunk = [c[i:i + _CHUNK] for c in columns]
+    for i in range(0, len(columns[0]), _ROWS):
+        chunk = [c[i:i + _ROWS] for c in columns]
         if len(chunk[0]) * len(chunk) < _VECTOR_MIN:
             yield _format_each(chunk, fmt)
         else:
@@ -180,15 +167,19 @@ def format_rows(columns, delimiter: str = ","):
 def _check_distinct(t, error_cls) -> None:
     """Raise ``error_cls`` if two neighbours of the ascending ``t`` print as
     the same ``%.9g`` text, which would not read back as ascending."""
-    t = np.asarray(t, dtype=np.float64)
-    # equal text needs a gap within one unit of the ninth digit, under 2e-8 of either value
-    at = np.flatnonzero(t[1:] - t[:-1] < np.abs(t[1:]) * 2e-8)
-    if at.size:
-        _, r, ok = _round9(t)
-        # confirmed by text: pairs of the same nine digits, and pairs whose digits are not certain
-        for i in at[(r[at] == r[at + 1]) | ~(ok[at] & ok[at + 1])].tolist():
-            if (text := "%.9g" % t[i]) == "%.9g" % t[i + 1]:
-                raise error_cls(f"times at rows {i} and {i + 1} both print as {text}; the CSV would not read back")
+    # a chunk at a time, each with the next chunk's first time, so that the
+    # temporaries do not grow with the column
+    for start in range(0, len(t) - 1, _ROWS):
+        c = np.asarray(t[start:start + _ROWS + 1], dtype=np.float64)
+        # equal text needs a gap within one unit of the ninth digit, under 2e-8 of either value
+        at = np.flatnonzero(c[1:] - c[:-1] < np.abs(c[1:]) * 2e-8)
+        if at.size:
+            _, r, ok = _round9(c)
+            # confirmed by text: pairs of the same nine digits, and pairs whose digits are not certain
+            for i in at[(r[at] == r[at + 1]) | ~(ok[at] & ok[at + 1])].tolist():
+                if (text := "%.9g" % c[i]) == "%.9g" % c[i + 1]:
+                    i += start
+                    raise error_cls(f"times at rows {i} and {i + 1} both print as {text}; the CSV would not read back")
 
 
 def write(sink, head: list[str], columns, error_cls: type) -> None:
@@ -315,10 +306,10 @@ class Reader:
         with warnings.catch_warnings():
             # loadtxt warns of a chunk that is all blank lines, which holds no row
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            for _ in range(0, n, _READ_ROWS):
+            for _ in range(0, n, _ROWS):
                 try:
                     rows = np.loadtxt(
-                        itertools.islice(self._f, _READ_ROWS),
+                        itertools.islice(self._f, _ROWS),
                         delimiter=",", comments=None, dtype=np.float64, ndmin=2,
                     )
                 except ValueError:

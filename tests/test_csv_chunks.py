@@ -74,7 +74,7 @@ CAPTURES = {
 
 @pytest.fixture(autouse=True)
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(_csv, "_READ_ROWS", ROWS_PER_CHUNK)
+    monkeypatch.setattr(_csv, "_ROWS", ROWS_PER_CHUNK)
     monkeypatch.setattr(_csv, "_BLOCK", BLOCK)
 
 

@@ -1,12 +1,14 @@
 """The CSV row formatter against ``'%.9g' % v``, value by value.
 
 Each class holds 200k seeded values, written as rows of seven columns so the
-vector pass sees whole 8192-row chunks as well as a short last one. The
+vector pass sees whole chunks as well as a short last one. The
 near-tie and power-of-ten classes sit where a scaled product could round
 the other way than the exact value, or where ``%.9g`` switches between
 fixed and exponent notation; the sprinkled class mixes such values into
 rows the vector pass formats.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def test_rows_match_printf(name):
         pytest.fail(f"{len(wrong)} rows differ, first {wrong[:3]}")
 
 
-@pytest.mark.parametrize("rows", [1, LAST_SMALL, LAST_SMALL + 1, 8192, 8193])
+@pytest.mark.parametrize("rows", [1, LAST_SMALL, LAST_SMALL + 1, 4 * _csv._ROWS, 4 * _csv._ROWS + 1])
 def test_chunk_sizes_and_delimiter(rows):
     rng = np.random.default_rng(rows)
     columns = [np.arange(rows) * 2e-4] + [rng.uniform(-5.0, 5.0, rows) for _ in range(WIDTH - 1)]
@@ -90,9 +92,8 @@ def test_chunk_sizes_and_delimiter(rows):
 
 @pytest.mark.parametrize("decade", range(-4, 9))
 def test_chunks_of_one_decade(decade):
-    # every value of the chunk in one decade, so the vector pass skips the
-    # digit words no value shows: the integer part's first two below 10**8
-    # and 10**4, fraction digits 9-12 from 1 on
+    # every value of the chunks in one decade, either sign and rounded to
+    # nine digits, so that decade's mask rows meet many digit patterns
     rng = np.random.default_rng(100 + decade)
     values = rng.uniform(10.0**decade, 10.0 ** (decade + 1), 8192 * WIDTH)
     values = rng.choice([-1.0, 1.0], values.size) * np.round(values, 8 - decade)
@@ -100,6 +101,30 @@ def test_chunks_of_one_decade(decade):
     texts = ["%.9g" % v for v in values.tolist()]
     expected = "".join(",".join(texts[i:i + WIDTH]) + "\n" for i in range(0, values.size, WIDTH))
     assert "".join(_csv.format_rows(columns)) == expected
+
+
+def test_every_mask_row():
+    # a value for every sign, exponent and count of digits shown, twice over
+    # with random digits to fill a chunk the vector pass takes, plus 0 and -0
+    rng = np.random.default_rng(11)
+    texts = ["0", "-0"]
+    for _, sign, e, shown in itertools.product(range(2), "+-", range(-4, 9), range(1, 10)):
+        n = int(rng.integers(10 ** (shown - 1), 10**shown))
+        digits = str(n + (n % 10 == 0))  # the last digit shown is not 0
+        texts.append(f"{sign}{digits[0]}.{digits[1:]}e{e}")
+    values = np.array([float(t) for t in texts])
+    assert values.size >= _csv._VECTOR_MIN and _csv._round9(values)[2].all()
+    assert "".join(_csv.format_rows([values])).splitlines() == ["%.9g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("at", [0, _csv._ROWS - 1, _csv._ROWS, 2 * _csv._ROWS - 1])
+def test_refuses_the_first_alike_pair_across_chunks(at):
+    # the pair at rows at and at + 1 prints alike, and so does a later one
+    t = 1.0 + np.arange(3 * _csv._ROWS) * 1e-3
+    t[at + 1], t[-1] = np.nextafter(t[at], np.inf), np.nextafter(t[-2], np.inf)
+    with pytest.raises(ValueError) as exc:
+        _csv._check_distinct(t, ValueError)
+    assert str(exc.value) == f"times at rows {at} and {at + 1} both print as {t[at]:.9g}; the CSV would not read back"
 
 
 def _ascending_grids(rng):

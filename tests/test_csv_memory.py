@@ -4,10 +4,9 @@ tracemalloc traces numpy's buffers as well as Python objects. Loading from a
 path parses the file a chunk of lines at a time into columns allocated once,
 so the peak is the arrays plus a fixed amount, whatever the row count; a
 whole-file copy of the text, or of the parsed rows, breaks both bounds. Saving
-formats and writes one chunk of rows at a time, numpy temporaries included,
-so its peak is set by the chunk size, not by the row count, for captures and
-traces alike; and the vector formatting pass frees each of its temporaries
-once spent, which keeps that peak to about 115 B per value of a chunk.
+checks its times and formats and writes its rows one chunk at a time, numpy
+temporaries included, so its peak is set by the chunk size, not by the row
+count, for captures and traces alike: about 128 B per value of a chunk.
 """
 
 import gc
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 
 from instrujoule import HwCapture, PowerTrace, load_hw_capture, save_hw_capture, save_trace
+from instrujoule import _csv
 
 CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
 ROWS = 50_000
@@ -68,15 +68,18 @@ def test_path_load_peak_beyond_the_arrays_does_not_grow_with_rows(tmp_path):
 @pytest.mark.parametrize("kind", ["capture", "trace"])
 def test_save_peak_does_not_grow_with_rows(kind, tmp_path):
     make, save = {"capture": (_capture, save_hw_capture), "trace": (_trace, save_trace)}[kind]
-    small, large = make(2 * 8192), make(ROWS)
+    small = make(2 * _csv._ROWS)
     small_peak = _peak(lambda: save(small, tmp_path / "small.csv"))
-    large_peak = _peak(lambda: save(large, tmp_path / "large.csv"))
-    assert large_peak <= 1.25 * small_peak, (small_peak, large_peak)
+    for n in (ROWS, 400_000):
+        large = make(n)
+        large_peak = _peak(lambda: save(large, tmp_path / "large.csv"))
+        assert large_peak <= 1.25 * small_peak, (n, small_peak, large_peak)
 
 
 def test_save_peak_of_two_capture_chunks(tmp_path):
-    # 2 x 8192 rows of 7 values; keeping every temporary of the pass to the
-    # end of a chunk takes 11.25 MiB here, freeing each once spent 6.3 MiB
-    capture = _capture(2 * 8192)
+    # 2 x 2048 rows of 7 values; the pass keeps its temporaries to the end
+    # of a chunk and peaks at 1.75 MiB here, where 8192-row chunks that freed
+    # each temporary once spent peaked at 6.3 MiB
+    capture = _capture(2 * _csv._ROWS)
     peak = _peak(lambda: save_hw_capture(capture, tmp_path / "capture.csv"))
-    assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -1,9 +1,9 @@
 """Every sink and source kind of the CSV codec, at the writer's chunk edges.
 
-The writer formats and writes rows 8192 at a time. For row counts on both
-sides of that size, each sink kind must receive exactly the bytes of the
-whole file joined at once, and each source kind, CRLF line ends included,
-must load the same arrays.
+The writer formats and writes rows ``_csv._ROWS`` at a time. For row counts
+on both sides of a chunk edge, each sink kind must receive exactly the bytes
+of the whole file joined at once, and each source kind, CRLF line ends
+included, must load the same arrays.
 """
 
 import io
@@ -20,9 +20,10 @@ from instrujoule import (
     save_hw_capture,
     save_trace,
 )
+from instrujoule import _csv
 
-CHUNK = 8192
-ROW_COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+EDGE = 4 * _csv._ROWS  # the end of the fourth chunk
+ROW_COUNTS = [0, 1, EDGE - 1, EDGE, EDGE + 1, 3 * EDGE + 5]
 CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
 
 
@@ -103,7 +104,7 @@ def _sources(data: bytes, tmp_path) -> dict:
     }
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, EDGE + 1])
 def test_trace_sources_load_identical_arrays(n, tmp_path):
     data = _trace_reference(_trace(n))
     loaded = {k: load_trace(src()) for k, src in _sources(data, tmp_path).items()}
@@ -115,7 +116,7 @@ def test_trace_sources_load_identical_arrays(n, tmp_path):
     assert len(first) == n
 
 
-@pytest.mark.parametrize("n", [0, 1, CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, EDGE + 1])
 def test_capture_sources_load_identical_arrays(n, tmp_path):
     data = _capture_reference(_capture(n))
     loaded = {k: load_hw_capture(src()) for k, src in _sources(data, tmp_path).items()}
