@@ -34,6 +34,13 @@ bit-reproducible. The flag-clear instant is defined as the sampler's first
 read at or after workload completion, so the flag interval coincides exactly
 with the recorded sample span.
 
+A virtual run thus has two steps: drive the workload on the clock, then read
+the grid. A standalone run reads as soon as it has driven. A large simulated
+MTSM pair in ``measure_instruction`` drives both runs, then reads the two
+grids on two threads, as numpy's generator fills and large array loops
+release the interpreter lock; so the factories of such a pair must not hand
+out providers that share mutable state.
+
 Strategy runners are not reentrant per provider instance; create one
 provider (and one clock) per measurement.
 """
@@ -224,11 +231,14 @@ class _VirtualSampler:
     virtual clock, the provider is a pure function of time, and one
     ``sample_grid`` call reads the whole grid.
 
-    Fixed interval: ``t0 + k*interval`` up to the end of the block. Back to
-    back: ``t0 + k*read_cost`` from the flag-set read at ``t0``, which comes
-    before the workload launches, up to the first point at or after
-    completion, where the flag clear is observed. A workload that raises
-    leaves the provider unread.
+    The block is the flag span: entering marks the flag set, exiting marks
+    the end of the block. ``read()`` then builds the grid and reads it, at
+    once in a standalone run, or later, beside another run's read, in a
+    large simulated pair. Fixed interval: ``t0 + k*interval`` up to the end
+    of the block. Back to back: ``t0 + k*read_cost`` from the flag-set read
+    at ``t0``, which comes before the workload launches, up to the first
+    point at or after completion, where the flag clear is observed. A
+    workload that raises leaves the provider unread.
     """
 
     def __init__(self, provider, clock: VirtualClock, interval):
@@ -241,15 +251,17 @@ class _VirtualSampler:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            return
+        self.block_end = self.clock.now
+
+    def read(self) -> tuple[np.ndarray, np.ndarray]:
         back_to_back = self.interval is None
         step = self.clock.read_cost if back_to_back else self.interval
-        self.times = _read_times(self.flag_set, step, self.clock.now, back_to_back)
-        self.powers = self.provider.sample_grid(self.times)
-        self.flag_clear = float(self.times[-1])
+        times = _read_times(self.flag_set, step, self.block_end, back_to_back)
+        powers = self.provider.sample_grid(times)
+        self.flag_clear = float(times[-1])
         if back_to_back:
             self.clock.now = self.flag_clear  # the clear is observed at the last read
+        return times, powers
 
 
 def _read_times(t0: float, step: float, t_end: float, back_to_back: bool) -> np.ndarray:
@@ -322,7 +334,8 @@ class _ThreadedSampler:
     it then raises the sampler's error. A thread still inside a provider read
     ``stop_timeout`` seconds after the stop raises SamplerStalled, chained to
     the block's error if there is one, and is left to finish as a daemon.
-    The switch interval is restored on every way out.
+    The switch interval is restored on every way out. ``read()`` returns the
+    readings with repeated timestamps filtered out.
     """
 
     startup_timeout = 5.0
@@ -396,7 +409,9 @@ class _ThreadedSampler:
             _SWITCH_INTERVAL.restore()
         if self._errors and exc_type is None:
             raise self._errors[0]
-        self.times, self.powers = _monotonic(self.times, self.powers)
+
+    def read(self) -> tuple[np.ndarray, np.ndarray]:
+        return _monotonic(self.times, self.powers)
 
 
 def _monotonic(times, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +446,7 @@ def run_sma(
         clock.advance(lead)
         workload.run(clock, provider)
         clock.advance(tail)
-    return PowerTrace(sampler.times, sampler.powers)
+    return PowerTrace(*sampler.read())
 
 
 def run_papi_style(
@@ -480,29 +495,102 @@ def run_mtsm(
     set raises its own error there. Energy is the sample mean of all
     recorded readings times the timed elapsed.
     """
-    clock = clock or VirtualClock()
-    with _sampler(provider, clock) as sampler:
-        t_start = clock.now
-        workload.run(clock, provider)
-        t_end = clock.now
-    times, powers = sampler.times, sampler.powers
-    elapsed = t_end - t_start
-    window = KernelWindow(float(times[0]), float(times[-1])) if len(times) > 1 else None
-    return EnergyResult(
-        strategy=Strategy.MTSM,
-        energy=energy_from_readings(powers, elapsed),
-        elapsed=elapsed,
-        n_samples=len(times),
-        trace=PowerTrace(times, powers, window),
-        flag_timeline=(sampler.flag_set, sampler.flag_clear),
-        label=workload.label,
-    )
+    return _MtsmRun(provider, workload, clock or VirtualClock()).read()
 
 
-_RUNNERS = {
-    Strategy.PAPI_STYLE: run_papi_style,
-    Strategy.MTSM: run_mtsm,
-}
+class _MtsmRun:
+    """One MTSM run in two steps. Building it drives the workload inside the
+    sampler; ``read()`` takes the readings, which a virtual run does only
+    then, and builds the result."""
+
+    def __init__(self, provider: PowerProvider, workload: Workload, clock):
+        with _sampler(provider, clock) as sampler:
+            t_start = clock.now
+            workload.run(clock, provider)
+            t_end = clock.now
+        self.sampler, self.elapsed, self.label = sampler, t_end - t_start, workload.label
+
+    def read(self) -> EnergyResult:
+        sampler = self.sampler
+        times, powers = sampler.read()
+        window = KernelWindow(float(times[0]), float(times[-1])) if len(times) > 1 else None
+        return EnergyResult(
+            strategy=Strategy.MTSM,
+            energy=energy_from_readings(powers, self.elapsed),
+            elapsed=self.elapsed,
+            n_samples=len(times),
+            trace=PowerTrace(times, powers, window),
+            flag_timeline=(sampler.flag_set, sampler.flag_clear),
+            label=self.label,
+        )
+
+    def reads_beside(self) -> bool:
+        """Whether the read may run beside another run's on a second thread:
+        a virtual run whose provider reads a grid with its own ``sample_grid``
+        (the default's per-time loop holds the interpreter lock throughout)
+        and whose grid holds at least ``_PAIR_MIN_READS`` reads."""
+        sampler, default = self.sampler, PowerProvider.sample_grid
+        return (
+            isinstance(sampler, _VirtualSampler)
+            and getattr(type(sampler.provider), "sample_grid", default) is not default
+            and sampler.block_end - sampler.flag_set >= _PAIR_MIN_READS * sampler.clock.read_cost
+        )
+
+
+# Reads each grid must hold before a pair's two reads go on two threads. On a
+# shared 2-vCPU x86-64 host (Python 3.11, numpy 2.4), the read steps of two
+# noisy, ramped simulated devices at 0.1 ms a read took, on two threads
+# against one after the other (medians of 15-41 repeats, three runs): x1.85-2.03
+# at 4k reads, x1.10-1.28 at 16k, x1.01-1.06 at 32k, x0.89-0.91 at 48k,
+# x0.69-0.82 at 64k and x0.68-0.70 at 200k. Below the crossover the thread's
+# start, join and lock hand-offs cost more than the overlap saves.
+_PAIR_MIN_READS = 1 << 16
+
+
+def _mtsm_pair(total_factory, total_kernel, overhead_factory, overhead_kernel, clock_factory):
+    """The total and the overhead MTSM run of a pair, results in that order.
+
+    Runs go one after the other, each read before the next is driven, unless
+    both read beside another run (``_MtsmRun.reads_beside``) on a provider
+    and a clock of their own. Then both are driven first and read on two
+    threads. Either way, when both runs fail the total run's error is raised.
+    """
+    total = _MtsmRun(total_factory(), total_kernel, clock_factory())
+    provider, clock = overhead_factory(), clock_factory()
+    if not total.reads_beside() or provider is total.sampler.provider or clock is total.sampler.clock:
+        return total.read(), run_mtsm(provider, overhead_kernel, clock)
+    try:
+        overhead = _MtsmRun(provider, overhead_kernel, clock)
+    except BaseException:
+        total.read()  # a total run that fails too raises its own error first
+        raise
+    if not overhead.reads_beside():
+        return total.read(), overhead.read()
+    return _read_beside(total, overhead)
+
+
+def _read_beside(total: _MtsmRun, overhead: _MtsmRun) -> tuple[EnergyResult, EnergyResult]:
+    """Read the overhead run on a short-lived second thread while this one
+    reads the total run. The thread is joined on every way out, and its
+    error is raised here unless the total run's read raised first."""
+    outcome: list = []
+
+    def read_overhead():
+        try:
+            outcome.append(overhead.read())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=read_overhead, name="mtsm-pair-reader")
+    thread.start()
+    try:
+        total_result = total.read()
+    finally:
+        thread.join()
+    (overhead_result,) = outcome
+    if isinstance(overhead_result, BaseException):
+        raise overhead_result
+    return total_result, overhead_result
 
 
 def measure_instruction(
@@ -524,20 +612,32 @@ def measure_instruction(
     profile depends on the kernel variant. Each run gets a fresh provider
     and clock. A net-negative extraction (overhead energy above total) is
     flagged on the result, never clamped.
+
+    A large simulated MTSM pair (two virtual clocks, two providers with their
+    own ``sample_grid``, at least ``_PAIR_MIN_READS`` reads a run) runs both
+    workloads and then reads the two grids on two threads, with results equal
+    to those of one run after the other; so the factories must not hand out
+    providers that share mutable state. Live pairs, PAPI pairs, per-time
+    providers, a clock or provider shared by both runs and small grids run
+    one after the other. When both runs fail, the total run's error is raised.
     """
     strategy = Strategy(strategy)
-    if strategy not in _RUNNERS:
+    if strategy not in (Strategy.PAPI_STYLE, Strategy.MTSM):
         raise ValueError(f"per-instruction extraction needs papi or mtsm, not {strategy.value}")
     check_integer("n_instructions", n_instructions, 1, sys.float_info.max, ZeroInstructions)  # before either run
     clock_factory = clock_factory or VirtualClock
-    runner = _RUNNERS[strategy]
     if isinstance(provider_factory, (tuple, list)):
         total_factory, overhead_factory = provider_factory
     else:
         total_factory = overhead_factory = provider_factory
 
-    total_result = runner(total_factory(), total_kernel, clock=clock_factory())
-    overhead_result = runner(overhead_factory(), overhead_kernel, clock=clock_factory())
+    if strategy is Strategy.MTSM:
+        total_result, overhead_result = _mtsm_pair(
+            total_factory, total_kernel, overhead_factory, overhead_kernel, clock_factory
+        )
+    else:
+        total_result = run_papi_style(total_factory(), total_kernel, clock=clock_factory())
+        overhead_result = run_papi_style(overhead_factory(), overhead_kernel, clock=clock_factory())
     per_instruction = instruction_energy(
         total_result.energy, overhead_result.energy, n_instructions
     )

@@ -65,6 +65,8 @@ class ReplayProvider(PowerProvider):
         times = self._trace.times
         if times.size == 0:
             raise ProviderExhausted("replay trace is empty")
+        if math.isnan(t):  # it fails both range tests, and searchsorted places it past the end
+            raise ProviderExhausted(f"replay queried at {t}, which is not a time")
         if t < times[0]:
             raise ProviderExhausted(f"replay queried at {t:.9g}s, before trace start {times[0]:.9g}s")
         if t > times[-1]:
@@ -76,8 +78,8 @@ class ReplayProvider(PowerProvider):
         times = np.asarray(times, dtype=np.float64)
         trace_times = self._trace.times
         if times.size:
-            # raise what the first time outside the trace raises time by time
-            outside = (times < trace_times[0]) | (times > trace_times[-1]) if trace_times.size else True
+            # raise what the first time outside the trace, or NaN, raises time by time
+            outside = ~((times >= trace_times[0]) & (times <= trace_times[-1])) if trace_times.size else True
             if np.any(outside):
                 self.next_sample(float(times[np.argmax(outside)]))
         return self._trace.powers[np.searchsorted(trace_times, times, side="right") - 1]

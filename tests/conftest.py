@@ -1,5 +1,5 @@
-"""Shared fixtures: no test may leave a sampler thread running, or the
-interpreter's switch interval changed."""
+"""Shared fixtures: no test may leave a sampler thread or a pair's reader
+thread running, or the interpreter's switch interval changed."""
 
 import sys
 import threading
@@ -10,8 +10,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_sampler_left_running():
     yield
-    alive = [th.name for th in threading.enumerate() if th.name.endswith("-sampler")]
-    assert alive == [], f"sampler threads still alive: {alive}"
+    alive = [th.name for th in threading.enumerate() if th.name.endswith(("-sampler", "-reader"))]
+    assert alive == [], f"sampler or reader threads still alive: {alive}"
 
 
 @pytest.fixture(autouse=True)

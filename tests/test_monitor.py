@@ -637,6 +637,154 @@ class TestMeasureInstruction:
         assert calls == []
 
 
+class PerTimeProvider(PowerProvider):
+    """Answers one time at a time, records each read as (run, reading thread)
+    in ``seen`` and raises ``error`` instead of answering, when one is given."""
+
+    def __init__(self, run, seen, error=None):
+        self.run, self.seen, self.error = run, seen, error
+
+    def next_sample(self, t):
+        return self._answer(1)[0]
+
+    def _answer(self, n):
+        self.seen.append((self.run, threading.current_thread().name))
+        if self.error is not None:
+            raise self.error
+        return np.full(n, 5.0)
+
+
+class GridProvider(PerTimeProvider):
+    """The same, answering a whole grid at once."""
+
+    def sample_grid(self, times):
+        return self._answer(len(times))
+
+
+class RecordingDevice(SyntheticDeviceProvider):
+    def __init__(self, model, run, seen):
+        super().__init__(model)
+        self.run, self.seen = run, seen
+
+    def sample_grid(self, times):
+        self.seen.append((self.run, threading.current_thread().name))
+        return super().sample_grid(times)
+
+
+def fine_clock():
+    return VirtualClock(read_cost=1e-4)
+
+
+def measure_pair(providers, seconds, strategy=Strategy.MTSM, clock_factory=fine_clock):
+    """A pair on ``providers`` (total, overhead) over two timed workloads."""
+    total, overhead = providers
+    return measure_instruction(
+        (lambda: total, lambda: overhead), TimedWorkload(seconds), TimedWorkload(seconds),
+        1_000, strategy, clock_factory=clock_factory,
+    )
+
+
+def assert_same_result(got, want):
+    for name in ("strategy", "energy", "elapsed", "n_samples", "flag_timeline", "label"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("times", "powers"):
+        assert getattr(got.trace, name).tobytes() == getattr(want.trace, name).tobytes(), name
+    assert got.trace.window == want.trace.window
+
+
+class TestPairReadOnTwoThreads:
+    # 7 s at 0.1 ms a read: 70k reads a run, above _PAIR_MIN_READS; 0.5 s is below
+    LARGE, SMALL = 7.0, 0.5
+
+    def test_a_large_pair_equals_each_run_alone(self):
+        from instrujoule.monitor import _PAIR_MIN_READS
+
+        models = [
+            SyntheticModel(p_idle=20e3, p_kernel=p, ramp_mw=8e3, kernel_duration=7.0, decay_steps=3,
+                           noise_stddev=900.0, rng_seed=seed)
+            for p, seed in ((70e3, 31), (60e3, 32))
+        ]
+        seen, clocks = [], []
+
+        def clock_factory():
+            clocks.append(fine_clock())
+            return clocks[-1]
+
+        devices = iter([RecordingDevice(m, run, seen) for m, run in zip(models, ("total", "overhead"))])
+        got = measure_instruction(
+            (lambda: next(devices), lambda: next(devices)), KernelLaunchWorkload(), KernelLaunchWorkload(),
+            1_000, Strategy.MTSM, clock_factory=clock_factory,
+        )
+        assert sorted(name for _, name in seen) == ["MainThread", "mtsm-pair-reader"]
+        for result, model, clock in zip((got.total_result, got.overhead_result), models, clocks):
+            alone_clock = fine_clock()
+            alone = run_mtsm(SyntheticDeviceProvider(model), KernelLaunchWorkload(), alone_clock)
+            assert alone.n_samples > _PAIR_MIN_READS
+            assert_same_result(result, alone)
+            assert clock.now == alone_clock.now
+        assert got.e_total == got.total_result.energy and got.e_overhead == got.overhead_result.energy
+
+    def test_a_large_pair_is_read_on_two_threads(self):
+        seen = []
+        measure_pair([GridProvider(run, seen) for run in ("total", "overhead")], self.LARGE)
+        assert sorted(seen) == [("overhead", "mtsm-pair-reader"), ("total", "MainThread")]
+
+    @pytest.mark.parametrize(
+        "case", ["small", "per-time provider", "shared clock", "shared provider", "RealClock", "papi"]
+    )
+    def test_read_on_one_thread(self, case):
+        seen = []
+        provider, seconds = GridProvider, self.LARGE
+        strategy, clock_factory = Strategy.MTSM, fine_clock
+        if case == "shared provider":
+            shared = GridProvider("total", seen)
+            provider = lambda run, seen: shared
+        elif case == "small":
+            seconds = self.SMALL
+        elif case == "per-time provider":
+            provider = PerTimeProvider
+        elif case == "shared clock":
+            clock = fine_clock()
+            clock_factory = lambda: clock
+        elif case == "RealClock":
+            seconds, clock_factory = 0.01, RealClock
+        else:
+            strategy = Strategy.PAPI_STYLE
+        result = measure_pair([provider(run, seen) for run in ("total", "overhead")], seconds, strategy,
+                              clock_factory)
+        runs = [run for run, _ in seen]
+        assert len(runs) >= 2 and len({name for _, name in seen}) == 1, case
+        # one run after the other: every read of the total run comes first
+        assert runs == sorted(runs, key=["total", "overhead"].index)
+        if case == "shared clock":  # the overhead run starts where the total run's clear left the clock
+            assert result.overhead_result.flag_timeline[0] == result.total_result.flag_timeline[1]
+
+    @pytest.mark.parametrize("overhead_fails_at", ["read", "drive"])
+    def test_both_runs_fail_raises_the_total_runs_error(self, overhead_fails_at):
+        seen = []
+        total = GridProvider("total", seen, ProviderExhausted("total run failed"))
+        overhead = GridProvider("overhead", seen, ProviderExhausted("overhead run failed"))
+        overhead_kernel = TimedWorkload(self.LARGE)
+        if overhead_fails_at == "drive":
+            class Fails(Workload):
+                def run(self, clock, provider):
+                    raise RuntimeError("overhead kernel failed")
+
+            overhead_kernel = Fails()
+        with pytest.raises(ProviderExhausted, match="^total run failed$"):
+            measure_instruction(
+                (lambda: total, lambda: overhead), TimedWorkload(self.LARGE), overhead_kernel,
+                1_000, Strategy.MTSM, clock_factory=fine_clock,
+            )
+
+    def test_only_the_overhead_run_fails_raises_its_error(self):
+        seen = []
+        providers = [GridProvider("total", seen), GridProvider("overhead", seen, ProviderExhausted("overhead"))]
+        with pytest.raises(ProviderExhausted, match="^overhead$"):
+            measure_pair(providers, self.LARGE)
+        assert sorted(seen) == [("overhead", "mtsm-pair-reader"), ("total", "MainThread")]
+
+
 class TestThreadedMode:
     def test_mtsm_real_clock_smoke(self):
         provider = ConstantPowerProvider(100_000.0)

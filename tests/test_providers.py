@@ -280,6 +280,9 @@ class TestSampleGrid:
             [1.0, 3.0000001, 0.1],  # past the end, then before the start
             [0.7, 0.1, 4.0],  # before the start, then past the end
             [0.5, 3.0, 3.0, np.nextafter(3.0, 4.0)],  # one ulp past the end
+            [0.5, math.nan],  # NaN fails both range tests, and would sort past the end
+            [1.0, math.nan, 0.1],  # NaN, then before the start
+            [4.0, math.nan],  # past the end, then NaN
         ],
     )
     def test_replay_out_of_range_raises_the_first_failing_read(self, times):
@@ -287,6 +290,13 @@ class TestSampleGrid:
         want, got = scalar_reads(provider, times), grid_reads(provider, times)
         assert isinstance(want, ProviderExhausted)
         assert type(got) is type(want) and str(got) == str(want)
+
+    def test_replay_nan_time_is_refused(self):
+        provider = ReplayProvider(PowerTrace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]))
+        with pytest.raises(ProviderExhausted, match="^replay queried at nan, which is not a time$"):
+            provider.next_sample(math.nan)
+        with pytest.raises(ProviderExhausted, match="^replay queried at nan, which is not a time$"):
+            provider.sample_grid([0.5, math.nan])
 
     def test_replay_empty_trace(self):
         provider = ReplayProvider(PowerTrace([], []))

@@ -9,6 +9,7 @@ import pytest
 from instrujoule import (
     InvalidModel,
     KernelWindow,
+    SyntheticDeviceProvider,
     SyntheticModel,
     integrate_energy,
     noise_free_power,
@@ -28,6 +29,15 @@ INTEGER_FIELDS = ["decay_steps"]
 class TestModelValidation:
     def test_defaults_valid(self):
         SyntheticModel()
+
+    def test_defaults(self):
+        # what a synth:<model.json> that leaves a field out runs with
+        assert SyntheticModel.from_dict({}).to_dict() == {
+            "p_idle": 20_000.0, "p_kernel": 80_000.0, "pre_rise_lead": 0.002,
+            "kernel_duration": 2.0, "decay_steps": 4, "decay_step_duration": 0.25,
+            "noise_stddev": 0.0, "sample_rate": 2000.0, "rng_seed": 0,
+            "idle_lead": 1.0, "idle_tail": 1.0, "ramp_mw": 0.0,
+        }
 
     def test_zero_duration_rejected(self):
         with pytest.raises(InvalidModel):
@@ -171,6 +181,14 @@ class TestModelValidation:
         )
 
 
+    def test_synthesize_accepts_a_grid_that_ends_at_the_window_end(self):
+        # 1000 samples a second end the grid at 1.0 s, the window's end itself
+        model = SyntheticModel(idle_lead=0.5, pre_rise_lead=0.25, kernel_duration=0.25,
+                               decay_steps=0, sample_rate=1000.0, idle_tail=0.0005)
+        trace, truth = synthesize(model)
+        assert trace.times[-1] == truth.window.end == 1.0
+
+
 class TestTruth:
     def test_plateau_closed_form(self):
         # 100,000 mW plateau for 2 s -> 200,000 mJ (200 J)
@@ -246,6 +264,19 @@ class TestShape:
         vec = noise_free_power(model, grid, t_launch=0.3)
         scal = [noise_free_power(model, float(t), t_launch=0.3) for t in grid]
         assert np.array_equal(vec, np.array(scal))
+
+    @pytest.mark.parametrize("ramp_mw", [0.5, 1.0])
+    def test_a_ramp_of_at_most_1_mw_climbs(self, ramp_mw):
+        # launched at 0 s, the window is [0.25, 1.25] s: half the ramp at its
+        # middle, all of it at its end, read one at a time and as a grid
+        model = SyntheticModel(p_idle=0.0, p_kernel=100.0, ramp_mw=ramp_mw,
+                               pre_rise_lead=0.25, kernel_duration=1.0)
+        times, want = [0.75, 1.25], [100.0 + ramp_mw / 2, 100.0 + ramp_mw]
+        one_at_a_time, grid = SyntheticDeviceProvider(model), SyntheticDeviceProvider(model)
+        one_at_a_time.launch(0.0)
+        grid.launch(0.0)
+        assert [one_at_a_time.next_sample(t) for t in times] == want
+        assert grid.sample_grid(np.array(times)).tolist() == want
 
     def test_ramp_peaks_at_window_end(self):
         model = SyntheticModel(
