@@ -5,15 +5,20 @@ own their comments, header, width and row rule. Neither direction holds a
 whole-file copy of the text: both work 2048 rows at a time, so a write's peak
 memory is one chunk's temporaries whatever its length. A write chunk of at
 least 384 values is formatted by one numpy pass that writes exactly the bytes
-of ``'%.9g' % value``. A value whose nine-digit rounding is certain and that
+of ``'%.9g' % value``, or of ``repr(value)`` for the float lists of the
+``measure`` result JSON. A value whose nine-digit rounding is certain and that
 prints in fixed notation gets a 32-byte field: its nine digits twice, from
 integer arithmetic and a 4-digit table, beside a minus sign, a zero, the point
 and three zeros. One mask row per sign, exponent and count of digits shown
-keeps the bytes of its text. A row holding any other value (exponent
-notation, non-finite, within 1e-6 of a rounding tie, or rounding up to 10**9)
-is formatted by ``%`` and spliced in. Smaller chunks, and chunks in which more
-than a quarter of the rows hold such a value, are formatted by ``%`` alone. A
-write whose neighbouring times would print alike raises before it starts.
+zeroes the bytes that are not its text, and deleting the NUL bytes joins the
+texts. A value's ``repr`` is that text, ended by ".0" where it shows no point,
+when its nine digits give the value back exactly. A row holding any other
+value (exponent notation, non-finite, within 1e-6 of a rounding tie, rounding
+up to 10**9, or for ``repr`` one that its nine digits do not give back) is
+formatted by ``%`` into its own fields, which keep every byte. Smaller
+chunks, and chunks in which more than a quarter of the rows hold such a
+value, are formatted by ``%`` alone. A write whose neighbouring times would
+print alike raises before it starts.
 
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
@@ -38,8 +43,9 @@ import numpy as np
 # Rows per chunk, formatted and written at once or parsed by one np.loadtxt
 # call. A loadtxt call costs about 10 us; larger chunks raise the load's peak
 # (a 50k-row capture: 2.93 MB at 1024 rows, 3.06 at 2048, 3.31 at 4096,
-# against 2.80 MB of arrays) and do not load faster. A 100k-row capture saves
-# in 76 ms at 2048 rows and 88 ms at 8192, a 200k-row trace in 48 and 44 ms.
+# against 2.80 MB of arrays) and do not load faster. A 98k-row capture saves
+# to a file in 45-48 ms at 2048 rows and 52-53 ms at 8192, a 220k-row trace in
+# 33-36 and 30-32 ms (best of 9, three runs).
 _ROWS = 2048
 # Chunks of fewer values are formatted value by value: the vector pass costs
 # 60-80 us a chunk whatever its size, which it wins back only from about 400
@@ -70,11 +76,13 @@ _SHOWN_HI, _SHOWN_LO = _shown(4, 1), _shown(5, 5)
 _FIELD = np.frombuffer(b"\0\0-0" + bytes(9) + b".000" + bytes(15), np.uint8)
 
 
-def _field_masks() -> tuple[np.ndarray, np.ndarray]:
+def _field_masks(point_zero: bool) -> np.ndarray:
     # Row (13 * neg + e + 4) * 10 + p keeps the text of a value of sign neg,
     # exponent e and p digits shown: the sign, the integer digits (or "0"
     # below 1), and when p > e + 1 the point, any zeros after it and the
-    # fraction digits. The last row keeps nothing. Also each row's length.
+    # fraction digits; with point_zero, ".0" when p <= e + 1, as repr ends a
+    # whole number. The last row keeps every byte. Each row as four words of
+    # 0x00 and 0xff bytes.
     neg, e, p, byte = np.ogrid[:2, -4:9, :10, :32]
     keep = (
         (byte == 2) & (neg == 1)
@@ -84,12 +92,20 @@ def _field_masks() -> tuple[np.ndarray, np.ndarray]:
         | (byte >= 14) & (byte < 13 - e)
         | (byte >= 21 + np.maximum(e, -1)) & (byte < 20 + p)
         | (byte == 31)
+        | point_zero & (byte >= 13) & (byte <= 14) & (p <= e + 1)
     )
-    keep = np.concatenate([keep.reshape(-1, 32), np.zeros((1, 32), bool)])
-    return keep.view("V32").reshape(-1), keep.sum(axis=1)
+    keep = np.concatenate([keep.reshape(-1, 32), np.ones((1, 32), bool)])
+    return (keep * np.uint8(0xFF)).view(np.uint64)
 
 
-_FIELD_MASKS, _FIELD_LENGTHS = _field_masks()
+# The conversions the vector pass writes, each with its mask table and whether
+# a value must also be the double nearest its nine digits. Such a value's
+# repr, the shortest text that reads back as it, is its %.9g text, ended by
+# ".0" if it shows no point: decimals of at most nine digits lie at least 1e-9
+# of their size apart, so no shorter one reads back as the same double.
+# r / 10**(8 - e) is that nearest double, as r and the power of ten are exact
+# and one division rounds correctly (Clinger's fast path).
+_FORMS = {"%.9g": (_field_masks(False), False), "%r": (_field_masks(True), True)}
 
 
 def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,15 +123,20 @@ def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return e, r, fixed & (r >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6) | (a == 0)
 
 
-def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
-    """``block``'s rows as ``fmt % row`` lines, each ended by "\n"."""
+def _format_block(block: np.ndarray, fmt: str, delimiter: str, masks: np.ndarray, exact: bool) -> str:
+    """``block``'s rows as ``fmt % row`` lines, each ended by "\n", where
+    ``fmt`` joins ``block``'s width of one ``_FORMS`` conversion and
+    ``masks`` and ``exact`` are its entry."""
     rows, k = block.shape
     x = block.reshape(-1)
     e, r, ok = _round9(x)
+    if exact:
+        ok &= r / _POW10[8 - e] == np.abs(x)
     row_ok = ok.reshape(rows, k).all(axis=1)
     if 4 * np.count_nonzero(row_ok) < 3 * rows:
-        # splicing in this many rows costs more than the rest of the pass
-        # saves (break-even at 30-50% of the rows, for 7 down to 1 columns)
+        # formatting this many rows apart costs about what the rest of the
+        # pass saves (break-even at 35-50% of the rows for %.9g, 1 to 7
+        # columns, and past 70% for one column of %r)
         return _format_each(block.T, fmt)
     # the nine digits as their first four, the next four and the last
     r = np.where(ok, r, 0).astype(np.uint32)
@@ -127,41 +148,50 @@ def _format_block(block: np.ndarray, fmt: str, delimiter: str) -> str:
     row_fields[:, 31] = np.frombuffer((delimiter * (k - 1) + "\n").encode("ascii"), np.uint8)
     fields = np.tile(row_fields, (rows, 1))
     words = fields.view(np.uint32)
-    words[:, 1] = words[:, 5] = _DIGITS4[hi]
-    words[:, 2] = words[:, 6] = _DIGITS4[mid]
+    # np.take gathers from a table two to ten times as fast as an index array does
+    words[:, 1] = words[:, 5] = np.take(_DIGITS4, hi)
+    words[:, 2] = words[:, 6] = np.take(_DIGITS4, mid)
     fields[:, 12] = fields[:, 28] = last
     # a value's mask row; the digits shown are the place of r's last nonzero digit
-    mask_row = (13 * np.signbit(x) + e + 4) * 10 + np.maximum(_SHOWN_HI[hi], _SHOWN_LO[lo])
-    mask_row.reshape(rows, k)[~row_ok] = -1  # the last row, which keeps nothing
-    text = fields.reshape(-1)[_FIELD_MASKS[mask_row].view(bool)].tobytes().decode("ascii")
-    if row_ok.all():
-        return text
-    bad = np.flatnonzero(~row_ok)
-    lengths = _FIELD_LENGTHS[mask_row]
-    offsets = (np.cumsum(lengths) - lengths)[bad * k].tolist()
-    pieces, done = [], 0
-    for at, values in zip(offsets, block[bad].tolist()):
-        pieces += [text[done:at], fmt % tuple(values), "\n"]
-        done = at
-    pieces.append(text[done:])
-    return "".join(pieces)
+    shown = np.maximum(np.take(_SHOWN_HI, hi), np.take(_SHOWN_LO, lo))
+    mask_row = (13 * np.signbit(x) + e + 4) * 10 + shown
+    if not row_ok.all():
+        # fmt writes each other row into its own fields, padded with NULs,
+        # under the row that keeps every byte: a value's text takes at most 24
+        # bytes, its separator one
+        bad = ~row_ok
+        mask_row.reshape(rows, k)[bad] = -1
+        row_bytes = fields.reshape(rows, 32 * k).view(f"S{32 * k}")
+        row_bytes[bad, 0] = [(fmt % tuple(v) + "\n").encode("ascii") for v in block[bad].tolist()]
+    return _compact(fields, masks, mask_row)
+
+
+def _compact(fields: np.ndarray, masks: np.ndarray, mask_row: np.ndarray) -> str:
+    """The bytes of each 32-byte row of ``fields`` that its mask row keeps,
+    NULs left out, joined; zeroes the others in place. A value's field holds
+    NUL only where its mask drops it."""
+    words = fields.view(np.uint64)
+    words &= np.take(masks, mask_row, axis=0)
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _format_each(columns, fmt: str) -> str:
     return "\n".join([fmt % row for row in zip(*(c.tolist() for c in columns))]) + "\n"
 
 
-def format_rows(columns, delimiter: str = ","):
+def format_rows(columns, delimiter: str = ",", conversion: str = "%.9g"):
     """Yield one text chunk per 2048 rows of ``columns``: each row's values
-    as ``%.9g``, joined by ``delimiter`` (one ASCII character) and ended by
-    "\n". A chunk of at least 384 values takes the vector pass."""
-    fmt = delimiter.join(["%.9g"] * len(columns))
+    in ``conversion``, ``"%.9g"`` or ``"%r"``, joined by ``delimiter`` (one
+    ASCII character other than NUL) and ended by "\n". A chunk of at least
+    384 values takes the vector pass."""
+    fmt = delimiter.join([conversion] * len(columns))
     for i in range(0, len(columns[0]), _ROWS):
         chunk = [c[i:i + _ROWS] for c in columns]
         if len(chunk[0]) * len(chunk) < _VECTOR_MIN:
             yield _format_each(chunk, fmt)
         else:
-            yield _format_block(np.stack(chunk, axis=1, dtype=np.float64), fmt, delimiter)
+            block = np.stack(chunk, axis=1, dtype=np.float64)
+            yield _format_block(block, fmt, delimiter, *_FORMS[conversion])
 
 
 def _check_distinct(t, error_cls) -> None:

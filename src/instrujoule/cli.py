@@ -18,8 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from ._checks import check_number
+from ._csv import format_rows
 from .analysis import compare_strategies
 from .catalog import find_instruction, list_catalog
 from .codegen import (
@@ -80,14 +83,16 @@ def _energy_result_json(result: EnergyResult) -> dict:
 
 def _result_json_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` for an ``_energy_result_json``
-    payload. ``indent`` runs the pure-Python encoder, so the trace's float
-    lists come from the C encoder instead: it writes each float as its
-    ``repr``, joined by ", ", which only needs the indenting re-applied."""
+    payload, whose trace lists hold finite floats. ``indent`` runs the
+    pure-Python encoder, so the two float lists are written apart and spliced
+    in: each item is its float's ``repr`` on a line of its own, which the CSV
+    codec writes as one-column ``"%r"`` rows, mostly by its vector pass."""
     trace = payload["trace"]
     text = json.dumps({**payload, "trace": {**trace, "t_s": [], "power_mw": []}}, indent=2)
     for key in ("t_s", "power_mw"):
         if trace[key]:
-            items = json.dumps(trace[key])[1:-1].replace(", ", ",\n      ")
+            lines = "".join(format_rows([np.asarray(trace[key])], conversion="%r"))
+            items = lines[:-1].replace("\n", ",\n      ")
             # '"t_s": []' occurs only as the key: a '"' inside a JSON string is
             # always escaped, so no label can spell it
             text = text.replace(f'"{key}": []', f'"{key}": [\n      {items}\n    ]', 1)

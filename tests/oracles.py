@@ -1,5 +1,6 @@
 """Reference computations the tests check the package against."""
 
+import json
 import re
 
 import numpy as np
@@ -72,3 +73,25 @@ def scan_kernel_by_line(lines: list[str]):
     if not has_ret:
         raise ParseFailure("no ret after the loop")
     return preamble, body, postlude
+
+
+def compact_by_mask(fields: np.ndarray, masks: np.ndarray, mask_row: np.ndarray) -> str:
+    """The CSV codec's compaction as a boolean index: the bytes of each
+    32-byte row of ``fields`` that its row of ``masks`` (0x00 or 0xff bytes)
+    keeps, joined. It leaves ``fields`` as it was."""
+    keep = masks.view(np.uint8).reshape(len(masks), 32)[mask_row] != 0
+    return fields.reshape(-1)[keep.reshape(-1)].tobytes().decode("ascii")
+
+
+def result_json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` for a ``measure`` result
+    payload, its float lists by the C encoder: ``json.dumps`` of a list, with
+    no indent, writes each float's ``repr`` joined by ", ", which needs only
+    the indenting re-applied."""
+    trace = payload["trace"]
+    text = json.dumps({**payload, "trace": {**trace, "t_s": [], "power_mw": []}}, indent=2)
+    for key in ("t_s", "power_mw"):
+        if trace[key]:
+            items = json.dumps(trace[key])[1:-1].replace(", ", ",\n      ")
+            text = text.replace(f'"{key}": []', f'"{key}": [\n      {items}\n    ]', 1)
+    return text + "\n"
