@@ -7,18 +7,21 @@ memory is one chunk's temporaries whatever its length. A write chunk of at
 least 384 values is formatted by one numpy pass that writes exactly the bytes
 of ``'%.9g' % value``, or of ``repr(value)`` for the float lists of the
 ``measure`` result JSON. A value whose nine-digit rounding is certain and that
-prints in fixed notation gets a 32-byte field: its nine digits twice, from
-integer arithmetic and a 4-digit table, beside a minus sign, a zero, the point
-and three zeros. One mask row per sign, exponent and count of digits shown
-zeroes the bytes that are not its text, and deleting the NUL bytes joins the
-texts. A value's ``repr`` is that text, ended by ".0" where it shows no point,
-when its nine digits give the value back exactly. A row holding any other
-value (exponent notation, non-finite, within 1e-6 of a rounding tie, rounding
-up to 10**9, or for ``repr`` one that its nine digits do not give back) is
-formatted by ``%`` into its own fields, which keep every byte. Smaller
-chunks, and chunks in which more than a quarter of the rows hold such a
-value, are formatted by ``%`` alone. A write whose neighbouring times would
-print alike raises before it starts.
+prints in fixed notation gets a 24-byte field: the separator before it, then
+its nine digits twice (the first copy stops at eight), from integer arithmetic
+and a 4-digit table, beside a minus sign, a zero, the point and three zeros.
+One mask row per sign, exponent and count of digits shown zeroes the bytes
+that are not its text, and deleting the NUL bytes joins the texts. A value's
+``repr`` is that text, ended by ".0" where it shows no point, when its nine
+digits give the value back exactly and it is below 10**8. A row holding any
+other value (exponent notation, non-finite, within 1e-6 of a rounding tie,
+rounding up to 10**9, or for ``repr`` one that its nine digits do not give
+back or of nine integer digits) is formatted by ``%`` into its own fields,
+which keep every byte after its separator. Smaller chunks, chunks in which
+more than a quarter of the rows hold such a value, and chunks holding a row
+whose text is too long for its fields (a one-column repr of 24 characters)
+are formatted by ``%`` alone. A write whose neighbouring times would print
+alike raises before it starts.
 
 Reads hold their source as one seekable binary stream: a path's open file, or
 a ``BytesIO`` of the bytes or stream given. A first pass in 32 KiB blocks
@@ -44,8 +47,8 @@ import numpy as np
 # call. A loadtxt call costs about 10 us; larger chunks raise the load's peak
 # (a 50k-row capture: 2.93 MB at 1024 rows, 3.06 at 2048, 3.31 at 4096,
 # against 2.80 MB of arrays) and do not load faster. A 98k-row capture saves
-# to a file in 45-48 ms at 2048 rows and 52-53 ms at 8192, a 220k-row trace in
-# 33-36 and 30-32 ms (best of 9, three runs).
+# to a file in 42-47 ms at 2048 rows and 50-52 ms at 8192, a 220k-row trace in
+# 33-34 and 29-32 ms (best of 9, three runs).
 _ROWS = 2048
 # Chunks of fewer values are formatted value by value: the vector pass costs
 # 60-80 us a chunk whatever its size, which it wins back only from about 400
@@ -70,31 +73,35 @@ def _shown(width: int, first: int) -> np.ndarray:
     return (places * (digits > 0)).max(axis=0)
 
 
-_SHOWN_HI, _SHOWN_LO = _shown(4, 1), _shown(5, 5)
-# A value's 32-byte field: "-0" at bytes 2-3, its nine digits at 4-12 and
-# again at 20-28, ".000" at 13-16 and the separator at 31
-_FIELD = np.frombuffer(b"\0\0-0" + bytes(9) + b".000" + bytes(15), np.uint8)
+# the digits shown by places 2-5 and 6-9 of the nine; a nonzero value shows
+# its first, so the first table reads at least 1 (zero's mask row is alike at 0 and 1)
+_SHOWN_HI, _SHOWN_LO = np.maximum(_shown(4, 2), 1), _shown(4, 6)
+# A value's 24-byte field: its separator at byte 0, "-0" at 1-2, its first
+# eight digits at 3-10, ".000" at 11-14 and its nine digits again at 15-23
+_WIDTH = 24
+_FIELD = np.frombuffer(b"\0-0" + bytes(8) + b".000" + bytes(9), np.uint8)
 
 
 def _field_masks(point_zero: bool) -> np.ndarray:
     # Row (13 * neg + e + 4) * 10 + p keeps the text of a value of sign neg,
-    # exponent e and p digits shown: the sign, the integer digits (or "0"
-    # below 1), and when p > e + 1 the point, any zeros after it and the
-    # fraction digits; with point_zero, ".0" when p <= e + 1, as repr ends a
-    # whole number. The last row keeps every byte. Each row as four words of
-    # 0x00 and 0xff bytes.
-    neg, e, p, byte = np.ogrid[:2, -4:9, :10, :32]
+    # exponent e and p digits shown, after its separator: the sign, the
+    # integer digits (or "0" below 1; the ninth from the second copy), and
+    # when p > e + 1 the point, any zeros after it and the fraction digits;
+    # with point_zero, ".0" when p <= e + 1, as repr ends a whole number. The
+    # last row keeps every byte. Each row as three words of 0x00 and 0xff bytes.
+    neg, e, p, byte = np.ogrid[:2, -4:9, :10, :_WIDTH]
     keep = (
-        (byte == 2) & (neg == 1)
-        | (byte == 3) & (e < 0)
-        | (byte >= 4) & (byte <= 4 + e)
-        | (byte == 13) & (p > e + 1)
-        | (byte >= 14) & (byte < 13 - e)
-        | (byte >= 21 + np.maximum(e, -1)) & (byte < 20 + p)
-        | (byte == 31)
-        | point_zero & (byte >= 13) & (byte <= 14) & (p <= e + 1)
+        (byte == 0)
+        | (byte == 1) & (neg == 1)
+        | (byte == 2) & (e < 0)
+        | (byte >= 3) & (byte <= np.minimum(3 + e, 10))
+        | (byte == 11) & (p > e + 1)
+        | (byte >= 12) & (byte <= 10 - e)
+        | (byte >= 15 + np.maximum(e + 1, 0)) & (byte < 15 + p)
+        | (byte == 23) & (e == 8)
+        | point_zero & (byte >= 11) & (byte <= 12) & (p <= e + 1)
     )
-    keep = np.concatenate([keep.reshape(-1, 32), np.ones((1, 32), bool)])
+    keep = np.concatenate([keep.reshape(-1, _WIDTH), np.ones((1, _WIDTH), bool)])
     return (keep * np.uint8(0xFF)).view(np.uint64)
 
 
@@ -126,50 +133,63 @@ def _round9(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _format_block(block: np.ndarray, fmt: str, delimiter: str, masks: np.ndarray, exact: bool) -> str:
     """``block``'s rows as ``fmt % row`` lines, each ended by "\n", where
     ``fmt`` joins ``block``'s width of one ``_FORMS`` conversion and
-    ``masks`` and ``exact`` are its entry."""
+    ``masks`` and ``exact`` are its entry. ``fmt`` writes a row written apart
+    into its fields after its leading separator, padded with NULs, under the
+    mask row that keeps every byte. A value's text takes at most 24 bytes (16
+    in ``%.9g``), its separator one, so a chunk holding a row too long for its
+    fields is formatted by ``fmt`` alone."""
     rows, k = block.shape
     x = block.reshape(-1)
     e, r, ok = _round9(x)
     if exact:
-        ok &= r / _POW10[8 - e] == np.abs(x)
-    row_ok = ok.reshape(rows, k).all(axis=1)
-    if 4 * np.count_nonzero(row_ok) < 3 * rows:
+        # a whole number's repr ends with ".0", which cannot follow the ninth
+        # integer digit: the field holds that digit at its end
+        ok &= (r / _POW10[8 - e] == np.abs(x)) & (e < 8)
+    # the rows holding a value written apart; np.unique would import numpy.ma (0.5 MB)
+    apart = np.zeros(rows, bool)
+    apart[np.flatnonzero(~ok) // k] = True
+    bad = np.flatnonzero(apart)
+    if 4 * bad.size > rows:
         # formatting this many rows apart costs about what the rest of the
         # pass saves (break-even at 35-50% of the rows for %.9g, 1 to 7
         # columns, and past 70% for one column of %r)
         return _format_each(block.T, fmt)
-    # the nine digits as their first four, the next four and the last
-    r = np.where(ok, r, 0).astype(np.uint32)
-    hi = r // np.uint32(100_000)
-    lo = r - hi * np.uint32(100_000)
-    mid = lo // np.uint32(10)
-    last = lo - mid * np.uint32(10) + np.uint32(ord("0"))
+    if bad.size:
+        texts = [(fmt % tuple(v)).encode("ascii") for v in block[bad].tolist()]
+        if max(map(len, texts)) >= _WIDTH * k:
+            return _format_each(block.T, fmt)
+    # the nine digits as the first, the next four and the last four; a value
+    # not written by the pass has digits of no use, whatever its cast gives
+    with np.errstate(invalid="ignore"):
+        r = r.astype(np.uint32)
+    first = r // np.uint32(100_000_000)
+    rest = r - first * np.uint32(100_000_000)
+    hi = rest // np.uint32(10_000)
+    lo = rest - hi * np.uint32(10_000)
     row_fields = np.tile(_FIELD, (k, 1))
-    row_fields[:, 31] = np.frombuffer((delimiter * (k - 1) + "\n").encode("ascii"), np.uint8)
+    row_fields[:, 0] = np.frombuffer(("\n" + delimiter * (k - 1)).encode("ascii"), np.uint8)
     fields = np.tile(row_fields, (rows, 1))
+    fields[0, 0] = 0  # the chunk's first value has no separator before it
     words = fields.view(np.uint32)
-    # np.take gathers from a table two to ten times as fast as an index array does
-    words[:, 1] = words[:, 5] = np.take(_DIGITS4, hi)
-    words[:, 2] = words[:, 6] = np.take(_DIGITS4, mid)
-    fields[:, 12] = fields[:, 28] = last
+    # np.take gathers from a table two to ten times as fast as an index array
+    # does; the point then replaces the first copy's ninth digit
+    words[:, 1] = words[:, 4] = np.take(_DIGITS4, hi)
+    words[:, 2] = words[:, 5] = np.take(_DIGITS4, lo)
+    fields[:, 3] = fields[:, 15] = first + np.uint32(ord("0"))
+    fields[:, 11] = ord(".")
     # a value's mask row; the digits shown are the place of r's last nonzero digit
     shown = np.maximum(np.take(_SHOWN_HI, hi), np.take(_SHOWN_LO, lo))
     mask_row = (13 * np.signbit(x) + e + 4) * 10 + shown
-    if not row_ok.all():
-        # fmt writes each other row into its own fields, padded with NULs,
-        # under the row that keeps every byte: a value's text takes at most 24
-        # bytes, its separator one
-        bad = ~row_ok
+    if bad.size:
         mask_row.reshape(rows, k)[bad] = -1
-        row_bytes = fields.reshape(rows, 32 * k).view(f"S{32 * k}")
-        row_bytes[bad, 0] = [(fmt % tuple(v) + "\n").encode("ascii") for v in block[bad].tolist()]
-    return _compact(fields, masks, mask_row)
+        fields.reshape(rows, _WIDTH * k)[:, 1:].view(f"S{_WIDTH * k - 1}")[bad, 0] = texts
+    return _compact(fields, masks, mask_row) + "\n"
 
 
 def _compact(fields: np.ndarray, masks: np.ndarray, mask_row: np.ndarray) -> str:
-    """The bytes of each 32-byte row of ``fields`` that its mask row keeps,
-    NULs left out, joined; zeroes the others in place. A value's field holds
-    NUL only where its mask drops it."""
+    """The bytes of each row of ``fields`` that its mask row keeps, NULs left
+    out, joined; zeroes the others in place. A row is as wide as a mask row,
+    24 bytes for a value's field, and holds NUL only where its mask drops it."""
     words = fields.view(np.uint64)
     words &= np.take(masks, mask_row, axis=0)
     return fields.tobytes().translate(None, b"\0").decode("ascii")

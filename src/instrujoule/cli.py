@@ -70,8 +70,8 @@ def _energy_result_json(result: EnergyResult) -> dict:
         "flag_set_s": result.flag_timeline[0],
         "flag_clear_s": result.flag_timeline[1],
         "trace": {
-            "t_s": result.trace.times.tolist(),
-            "power_mw": result.trace.powers.tolist(),
+            "t_s": result.trace.times,
+            "power_mw": result.trace.powers,
             "window": (
                 [result.trace.window.start, result.trace.window.end]
                 if result.trace.window
@@ -83,14 +83,15 @@ def _energy_result_json(result: EnergyResult) -> dict:
 
 def _result_json_text(payload: dict) -> str:
     """``json.dumps(payload, indent=2) + "\\n"`` for an ``_energy_result_json``
-    payload, whose trace lists hold finite floats. ``indent`` runs the
-    pure-Python encoder, so the two float lists are written apart and spliced
-    in: each item is its float's ``repr`` on a line of its own, which the CSV
-    codec writes as one-column ``"%r"`` rows, mostly by its vector pass."""
+    payload, its two trace arrays of finite floats written as lists (lists
+    are taken too). ``indent`` runs the pure-Python encoder, so the two float
+    lists are written apart and spliced in: each item is its float's ``repr``
+    on a line of its own, which the CSV codec writes as one-column ``"%r"``
+    rows, mostly by its vector pass."""
     trace = payload["trace"]
     text = json.dumps({**payload, "trace": {**trace, "t_s": [], "power_mw": []}}, indent=2)
     for key in ("t_s", "power_mw"):
-        if trace[key]:
+        if len(trace[key]):
             lines = "".join(format_rows([np.asarray(trace[key])], conversion="%r"))
             items = lines[:-1].replace("\n", ",\n      ")
             # '"t_s": []' occurs only as the key: a '"' inside a JSON string is

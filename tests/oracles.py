@@ -76,10 +76,10 @@ def scan_kernel_by_line(lines: list[str]):
 
 
 def compact_by_mask(fields: np.ndarray, masks: np.ndarray, mask_row: np.ndarray) -> str:
-    """The CSV codec's compaction as a boolean index: the bytes of each
-    32-byte row of ``fields`` that its row of ``masks`` (0x00 or 0xff bytes)
-    keeps, joined. It leaves ``fields`` as it was."""
-    keep = masks.view(np.uint8).reshape(len(masks), 32)[mask_row] != 0
+    """The CSV codec's compaction as a boolean index: the bytes of each row
+    of ``fields`` that its row of ``masks`` (0x00 or 0xff bytes, as many as a
+    row of ``fields``) keeps, joined. It leaves ``fields`` as it was."""
+    keep = masks.view(np.uint8).reshape(len(masks), -1)[mask_row] != 0
     return fields.reshape(-1)[keep.reshape(-1)].tobytes().decode("ascii")
 
 

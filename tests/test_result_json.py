@@ -1,13 +1,15 @@
 """The ``measure`` result JSON against ``json.dumps(payload, indent=2)``.
 
-``cli`` writes the trace's float lists with the C encoder and splices them
-into the indented text of the rest of the result; every case here must give
-the text the indenting encoder gives, labels that look like JSON included.
+``cli`` writes the trace's float arrays as the CSV codec's one-column ``"%r"``
+rows and splices them into the indented text of the rest of the result;
+every case here must give the text the indenting encoder gives for the
+arrays as lists, labels that look like JSON included.
 """
 
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from instrujoule import (
@@ -65,7 +67,8 @@ LABELS = [
 
 
 def _expected(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    trace = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload["trace"].items()}
+    return json.dumps({**payload, "trace": trace}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("run", RUNS)
