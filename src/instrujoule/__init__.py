@@ -100,7 +100,7 @@ from .report import (
     load_reference_table,
     render_table,
 )
-from .synthetic import SyntheticModel, SyntheticTruth, noise_free_power, synthesize
+from .synthetic import SyntheticModel, SyntheticTruth, synthesize
 from .trace import KernelWindow, PowerTrace, load_trace, save_trace
 
 __version__ = "0.1.0"

@@ -137,6 +137,9 @@ def load_hw_capture(source) -> HwCapture:
                     raise MalformedCapture(f"unparsable shunt value '{payload}'", line_no) from None
         if r_s is None:
             raise MissingShunt("capture has no '# r_s_ohm: <value>' comment")
+        # HwCapture refuses it too, but only after a parse, and the reader
+        # rescans the whole body line by line for any error the build raises
+        check_number("shunt resistance", r_s, "> 0", MalformedCapture)
         return reader.rows(
             _HEADER, 7, "expected 7 fields, got {fields}",
             lambda times, *cols: HwCapture(times, dict(zip(_CHANNELS, cols)), r_s),

@@ -115,8 +115,11 @@ class SyntheticDeviceProvider(PowerProvider):
         self._t_launch = math.inf
 
     def launch(self, t: float) -> None:
+        """Anchor the profile at the finite launch time ``t``; until then the
+        launch time is ``math.inf``, which means not launched."""
         if self._t_launch != math.inf:
             raise RuntimeError("provider already launched; use a fresh instance per run")
+        check_number("launch time", t)
         self._t_launch = float(t)
 
     def next_sample(self, t: float) -> float:

@@ -13,13 +13,15 @@ oracle for the measurement strategies. A model checks its fields when it is
 built, so an invalid one never reaches ``synthesize`` or a simulated device.
 
 The profile has two forms, pinned bit-equal by tests: a scalar one for a
-single read, and an array one for a grid. The array form splits an ascending
-grid into the five pieces by searching it for the piece edges and adds each
-piece onto its slice of an array it is given, so a simulated device adds the
-profile onto its noise where it lies: idle and plateau are constants, and
-the ramp and decay steps are computed in blocks of at most 8192 points, so
-no temporary is as long as the grid. Any other array is sorted first and its
-powers put back in its order.
+single read, and an array one for a grid. Only the simulated device
+(``providers.SyntheticDeviceProvider``) reads them; on a noise-free model it
+reads the bare profile. The array form splits an ascending grid into the
+five pieces by searching it for the piece edges and adds each piece onto its
+slice of an array it is given, so a simulated device adds the profile onto
+its noise where it lies: idle and plateau are constants, and the ramp and
+decay steps are computed in blocks of at most 8192 points, so no temporary
+is as long as the grid. Any other array is sorted first and its powers put
+back in its order.
 """
 
 from __future__ import annotations
@@ -113,9 +115,9 @@ class SyntheticTruth:
 
 
 def _scalar_power(model: SyntheticModel, t: float, t_launch: float) -> float:
-    # plain-float twin of noise_free_power for the simulated device's single
-    # read, which a one-point array slows about 100 times; tests pin the two
-    # bit-equal. A launch at math.inf (none yet) reads idle at every finite time.
+    # plain-float twin of the array form (_add_power) for the simulated device's
+    # single read, which a one-point array slows about 100 times; tests pin the
+    # two bit-equal. A launch at math.inf (none yet) reads idle at every finite time.
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
     if t < t_launch:
@@ -132,22 +134,6 @@ def _scalar_power(model: SyntheticModel, t: float, t_launch: float) -> float:
         height = model.p_kernel + model.ramp_mw
         return float(model.p_idle + height * (1.0 - k / (model.decay_steps + 1)))
     return float(model.p_idle)
-
-
-def noise_free_power(model: SyntheticModel, t, t_launch: float):
-    """Evaluate the noise-free profile at time(s) ``t`` for a launch at ``t_launch``.
-
-    Vectorized over numpy arrays; a scalar returns a float. Power jumps to the
-    kernel plateau at the launch instant, holds (plus optional ramp) through
-    the end of execution, then descends in ``decay_steps`` equal-height
-    plateaus back to idle. An ascending array, as every grid the toolkit
-    builds is, is evaluated piece by piece; any other is sorted first and its
-    powers put back in its order.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    # -0.0 is the exact additive identity: each power is written bit for bit
-    p = _add_power(model, t.ravel(), t_launch, np.full(t.size, -0.0))
-    return p.reshape(t.shape) if t.ndim else float(p[0])
 
 
 def _add_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out: np.ndarray) -> np.ndarray:
@@ -169,9 +155,6 @@ def _ascending_power(model: SyntheticModel, t: np.ndarray, t_launch: float, out:
     exec_start = t_launch + model.pre_rise_lead
     exec_end = exec_start + model.kernel_duration
     decay_end = exec_end + model.decay_steps * model.decay_step_duration
-    if math.isnan(t_launch):  # every comparison with the edges is false: idle throughout
-        out += float(model.p_idle)
-        return out
     # the array's own searchsorted and the ufuncs, not np.searchsorted and np.clip,
     # whose Python wrappers cost a small grid more than its arithmetic does
     rise, start = t.searchsorted((t_launch, exec_start), "left")

@@ -27,7 +27,6 @@ from instrujoule import (
     list_catalog,
     load_reference_table,
     mape,
-    noise_free_power,
     render_table,
     rmse,
     run_mtsm,
@@ -172,7 +171,9 @@ def test_c5_single_reading_at_least_synchronized_on_peaking_family():
         )
         # the family's defining premise, checked per run
         window = model.window_for_launch(0.0)
-        p_end = noise_free_power(model, window.end, 0.0)
+        device = SyntheticDeviceProvider(model)
+        device.launch(0.0)
+        p_end = device.sample_grid(np.array([window.end]))[0]
         window_mean = model.true_window_energy() / model.kernel_duration
         assert p_end >= window_mean
 

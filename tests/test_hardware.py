@@ -21,6 +21,7 @@ from instrujoule import (
     load_hw_capture,
     save_hw_capture,
 )
+from instrujoule import _csv
 
 CHANNELS = ("v_s1", "v_g1", "v_s2", "v_g2", "i_clamp", "v_dps")
 
@@ -205,6 +206,20 @@ class TestCaptureValidation:
         bad = TestCaptureIO.CSV.replace("r_s_ohm: 0.1", "r_s_ohm: inf")
         with pytest.raises(MalformedCapture, match="^shunt resistance must be finite, got inf$"):
             load_hw_capture(bad.encode())
+
+    @pytest.mark.parametrize("r_s", ["0", "-1", "nan", "inf"])
+    def test_bad_shunt_comment_refused_before_the_body_is_parsed(self, r_s, monkeypatch):
+        def parse(*args):
+            raise AssertionError("the body was parsed")
+
+        monkeypatch.setattr(_csv.Reader, "_loadtxt", parse)
+        monkeypatch.setattr(_csv.Reader, "_scan", parse)
+        with pytest.raises(MalformedCapture) as want:
+            make_capture(r_s=float(r_s))
+        bad = TestCaptureIO.CSV.replace("r_s_ohm: 0.1", f"r_s_ohm: {r_s}")
+        with pytest.raises(MalformedCapture) as exc:
+            load_hw_capture(bad.encode())
+        assert str(exc.value) == str(want.value)
 
     def test_immutable(self):
         capture = make_capture()

@@ -16,7 +16,6 @@ from instrujoule import (
     ReplayProvider,
     SyntheticDeviceProvider,
     SyntheticModel,
-    noise_free_power,
 )
 from instrujoule.synthetic import _scalar_power
 
@@ -84,6 +83,26 @@ class TestSyntheticDeviceProvider:
         with pytest.raises(RuntimeError):
             provider.launch(1.0)
 
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "launch time must be finite, got nan"),
+        (math.inf, "launch time must be finite, got inf"),
+        (-math.inf, "launch time must be finite, got -inf"),
+        (True, "launch time must be a number, got True"),
+        ("1.0", "launch time must be a number, got '1.0'"),
+    ], ids=["nan", "inf", "-inf", "bool", "str"])
+    def test_launch_time_must_be_a_finite_number(self, t, message):
+        # inf would leave the device unlaunched, open to a second launch
+        model = SyntheticModel(p_idle=7_000.0, noise_stddev=0.0)
+        provider = SyntheticDeviceProvider(model)
+        with pytest.raises(ValueError) as exc:
+            provider.launch(t)
+        assert str(exc.value) == message
+        assert provider.next_sample(1.0) == 7_000.0  # still idle, and still launchable
+        provider.launch(0.0)
+        assert provider.next_sample(1.0) == 7_000.0 + model.p_kernel
+        with pytest.raises(RuntimeError, match="^provider already launched"):
+            provider.launch(2.0)
+
     def test_noise_deterministic_per_seed(self):
         model = SyntheticModel(noise_stddev=800.0, rng_seed=5)
         readings = []
@@ -102,20 +121,19 @@ class TestSyntheticDeviceProvider:
 
 
 class PerReadNoise:
-    """The simulated device read by read: the noise-free profile plus one
-    scalar draw from the seeded generator for every reading."""
+    """The simulated device read by read: the noise-free profile, a one-point
+    grid of a noise-free device, plus one scalar draw from the seeded
+    generator for every reading."""
 
     def __init__(self, model):
-        self.model, self.rng, self.t_launch = model, np.random.default_rng(model.rng_seed), None
+        self.model, self.rng = model, np.random.default_rng(model.rng_seed)
+        self.profile = _device(replace(model, noise_stddev=0.0))
 
     def launch(self, t):
-        self.t_launch = float(t)
+        self.profile.launch(t)
 
     def next_sample(self, t):
-        if self.t_launch is None:
-            p = float(self.model.p_idle)
-        else:
-            p = float(noise_free_power(self.model, t, self.t_launch))
+        p = float(self.profile.sample_grid(np.array([t]))[0])
         if self.model.noise_stddev > 0:
             p = max(p + float(self.rng.normal(0.0, self.model.noise_stddev)), 0.0)
         return p
@@ -345,6 +363,14 @@ def _device(model, launch=None):
     return device
 
 
+def noise_free_grid(model, times, launch):
+    """The profile's array form at ``times``: the grid that a noise-free
+    device of ``model`` reads, launched at ``launch``, or never launched
+    when ``launch`` is ``math.inf``."""
+    device = _device(replace(model, noise_stddev=0.0), None if launch == math.inf else launch)
+    return device.sample_grid(times)
+
+
 def random_model(rng):
     """A valid model with every profile segment's length, height and step
     count drawn at random; half the models ramp, and the noise is often
@@ -394,7 +420,7 @@ class TestTwoFormsOfTheProfile:
     def test_array_form_matches_scalar_form(self):
         for model, t_launch, times in self.cases():
             for launch in (t_launch, math.inf):
-                got = noise_free_power(model, times, launch)
+                got = noise_free_grid(model, times, launch)
                 want = [_scalar_power(model, t, launch) for t in times.tolist()]
                 assert got.tobytes() == np.array(want).tobytes(), (model, launch)
 
@@ -416,7 +442,7 @@ class TestTwoFormsOfTheProfile:
 
 
 def assert_profile_matches_scalar(model, times, launch):
-    got = noise_free_power(model, times, launch)
+    got = noise_free_grid(model, times, launch)
     want = [_scalar_power(model, t, launch) for t in np.asarray(times).tolist()]
     assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), (model, launch)
 
@@ -450,28 +476,31 @@ class TestAscendingGrids:
 
     def test_grid_wholly_before_launch(self):
         times = np.linspace(0.0, np.nextafter(self.LAUNCH, 0.0), 1_000)
-        assert (noise_free_power(self.MODEL, times, self.LAUNCH) == self.MODEL.p_idle).all()
+        assert (noise_free_grid(self.MODEL, times, self.LAUNCH) == self.MODEL.p_idle).all()
         assert_profile_matches_scalar(self.MODEL, times, self.LAUNCH)
 
     def test_grid_wholly_after_the_decay(self):
         m = self.MODEL
         decay_end = self.LAUNCH + m.pre_rise_lead + m.kernel_duration + m.decay_steps * m.decay_step_duration
         times = np.linspace(np.nextafter(decay_end, np.inf), decay_end + 5.0, 1_000)
-        assert (noise_free_power(m, times, self.LAUNCH) == m.p_idle).all()
+        assert (noise_free_grid(m, times, self.LAUNCH) == m.p_idle).all()
         assert_profile_matches_scalar(m, times, self.LAUNCH)
 
     @pytest.mark.parametrize("times", [[], [1.6], [1.0], [1.9], [1.6, 1.6, 1.6], [1.0, 1.5, 1.5, 1.6, 1.6, 1.82]])
     def test_short_grids_and_repeated_times(self, times):
-        assert noise_free_power(self.MODEL, np.array(times), self.LAUNCH).shape == (len(times),)
+        assert noise_free_grid(self.MODEL, np.array(times), self.LAUNCH).shape == (len(times),)
         assert_profile_matches_scalar(self.MODEL, np.array(times), self.LAUNCH)
 
     def test_scalar_and_shaped_arrays(self):
         times = np.linspace(1.4, 2.0, 12)
-        flat = noise_free_power(self.MODEL, times, self.LAUNCH)
-        assert noise_free_power(self.MODEL, times.reshape(3, 4), self.LAUNCH).tobytes() == flat.tobytes()
-        assert noise_free_power(self.MODEL, times.reshape(3, 4).T, self.LAUNCH).shape == (4, 3)
+        flat = noise_free_grid(self.MODEL, times, self.LAUNCH)
+        assert noise_free_grid(self.MODEL, times.reshape(3, 4), self.LAUNCH).tobytes() == flat.tobytes()
+        assert noise_free_grid(self.MODEL, times.reshape(3, 4).T, self.LAUNCH).shape == (4, 3)
+        device = _device(self.MODEL, self.LAUNCH)
         for t, p in zip(times.tolist(), flat.tolist()):
-            got = noise_free_power(self.MODEL, t, self.LAUNCH)
+            got = noise_free_grid(self.MODEL, t, self.LAUNCH)
+            assert got.shape == () and got == p
+            got = device.next_sample(t)  # the noise-free model's single read
             assert type(got) is float and got == p
 
     def test_negative_zero_idle_keeps_its_sign(self):
@@ -484,14 +513,20 @@ class TestAscendingGrids:
             got = _device(model, launch).sample_grid(times)
             assert got.tobytes() == want.tobytes()
             if launch is not None:
-                assert noise_free_power(model, times, launch).tobytes() == want.tobytes()
-                assert noise_free_power(model, times[::-1], launch).tobytes() == want[::-1].tobytes()
+                assert noise_free_grid(model, times, launch).tobytes() == want.tobytes()
+                assert noise_free_grid(model, times[::-1], launch).tobytes() == want[::-1].tobytes()
 
-    def test_nan_launch_reads_idle(self):
-        times = np.array([0.0, 1.0, math.inf, math.nan, -math.inf])
-        assert noise_free_power(self.MODEL, times, math.nan).tolist() == [self.MODEL.p_idle] * 5
-        assert noise_free_power(self.MODEL, times[3:4], math.nan) == self.MODEL.p_idle
-        assert_profile_matches_scalar(self.MODEL, times, math.nan)
+    def test_a_time_past_the_end_is_at_least_the_first_decay_step(self):
+        # the execution ends at 0.0, and the smallest subnormal past it, over a
+        # 2 s step, rounds to 0 steps: it still reads the first step
+        model = SyntheticModel(
+            p_idle=1_000.0, p_kernel=6_000.0, pre_rise_lead=0.5, kernel_duration=0.5,
+            decay_steps=3, decay_step_duration=2.0,
+        )
+        times = np.array([0.0, 5e-324, 1e-300, 1.0, 2.0, 2.5])
+        assert math.nextafter(0.0, 1.0) / model.decay_step_duration == 0.0
+        assert noise_free_grid(model, times, -1.0).tolist() == [7_000.0, 5_500.0, 5_500.0, 5_500.0, 5_500.0, 4_000.0]
+        assert_profile_matches_scalar(model, times, -1.0)
 
 
 class TestProviderContract:
@@ -553,7 +588,7 @@ class TestNonFiniteTimes:
                 # an unlaunched ramp reads inf - inf at t = inf
                 with np.errstate(invalid="ignore"):
                     for grid in (mixed, ascending, odd[:1], odd[1:2], odd[2:3]):
-                        yield noise_free_power(model, grid, launch)
+                        yield noise_free_grid(model, grid, launch)
 
     def test_pinned(self):
         digest = hashlib.sha256()

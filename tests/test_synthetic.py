@@ -12,7 +12,6 @@ from instrujoule import (
     SyntheticDeviceProvider,
     SyntheticModel,
     integrate_energy,
-    noise_free_power,
     synthesize,
 )
 
@@ -24,6 +23,12 @@ NON_SEED_FIELDS = [
 ]
 # the ones of them that count, and so are checked as integers
 INTEGER_FIELDS = ["decay_steps"]
+
+
+def launched(model, t_launch):
+    device = SyntheticDeviceProvider(model)
+    device.launch(t_launch)
+    return device
 
 
 class TestModelValidation:
@@ -251,8 +256,7 @@ class TestShape:
 
     def test_noise_free_power_scalar(self):
         model = SyntheticModel(p_idle=5.0, p_kernel=10.0, noise_stddev=0.0)
-        assert noise_free_power(model, 0.0, t_launch=1.0) == 5.0
-        assert noise_free_power(model, 1.5, t_launch=1.0) == 15.0
+        assert launched(model, 1.0).sample_grid(np.array([0.0, 1.5])).tolist() == [5.0, 15.0]
 
     def test_scalar_and_vectorized_paths_agree(self):
         model = SyntheticModel(
@@ -261,8 +265,9 @@ class TestShape:
             decay_steps=3, decay_step_duration=0.2, noise_stddev=0.0,
         )
         grid = np.linspace(-0.5, 3.0, 5000)
-        vec = noise_free_power(model, grid, t_launch=0.3)
-        scal = [noise_free_power(model, float(t), t_launch=0.3) for t in grid]
+        device = launched(model, 0.3)
+        vec = device.sample_grid(grid)
+        scal = [device.next_sample(float(t)) for t in grid]
         assert np.array_equal(vec, np.array(scal))
 
     @pytest.mark.parametrize("ramp_mw", [0.5, 1.0])
@@ -283,10 +288,11 @@ class TestShape:
             p_idle=0.0, p_kernel=100.0, ramp_mw=40.0, kernel_duration=1.0, noise_stddev=0.0
         )
         w = model.window_for_launch(0.0)
-        assert noise_free_power(model, w.end, 0.0) == pytest.approx(140.0)
-        assert noise_free_power(model, (w.start + w.end) / 2, 0.0) == pytest.approx(120.0)
+        end, mid, past = launched(model, 0.0).sample_grid(np.array([w.end, (w.start + w.end) / 2, w.end + 1e-6]))
+        assert end == pytest.approx(140.0)
+        assert mid == pytest.approx(120.0)
         # just past the end the decay has begun
-        assert noise_free_power(model, w.end + 1e-6, 0.0) < 140.0
+        assert past < 140.0
 
 
 class TestTraceLevelOracle:
